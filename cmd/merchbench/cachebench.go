@@ -4,12 +4,16 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 
 	"merchandiser"
 	"merchandiser/internal/experiments"
+	"merchandiser/internal/ml"
+	"merchandiser/internal/model"
+	"merchandiser/internal/pmc"
 	"merchandiser/internal/serve"
 )
 
@@ -25,9 +29,9 @@ func runCacheBench(ctx context.Context, w io.Writer, out string, cfg experiments
 	}
 	defer os.RemoveAll(dir)
 
-	sys := syntheticSystem(16, 4, 400)
+	sys := syntheticSystem()
 	path := filepath.Join(dir, "cache.artifact")
-	if err := sys.SaveFileFormat(path, merchandiser.SaveBinary); err != nil {
+	if err := sys.SaveFile(path); err != nil {
 		return err
 	}
 
@@ -76,4 +80,34 @@ func runCacheBench(ctx context.Context, w io.Writer, out string, cfg experiments
 	}
 	fmt.Fprintf(w, "cache bench report written to %s\n", out)
 	return nil
+}
+
+// syntheticSystem fits a small GBR (16 stages of depth 4, 400 rows) on
+// deterministic synthetic rows and wraps it in a servable System — the
+// "small" ensemble of restore_bench_test.go.
+func syntheticSystem() *merchandiser.System {
+	const stages, depth, rows = 16, 4, 400
+	rng := rand.New(rand.NewSource(stages))
+	d := len(pmc.SelectedEvents) + 1
+	X := make([][]float64, rows)
+	y := make([]float64, rows)
+	for i := range X {
+		row := make([]float64, d)
+		for j := range row {
+			row[j] = rng.Float64() * 10
+		}
+		X[i] = row
+		y[i] = row[0]*0.4 + row[1]*row[2]*0.05 + rng.NormFloat64()*0.1
+	}
+	g := ml.NewGradientBoosted(ml.GBRConfig{NumStages: stages, MaxDepth: depth, Seed: 7})
+	if err := g.Fit(X, y); err != nil {
+		// Synthetic fit on well-formed rows cannot fail; treat it as the
+		// program bug it would be.
+		panic(err)
+	}
+	return &merchandiser.System{
+		Spec:      merchandiser.DefaultSpec(),
+		Perf:      &model.PerfModel{Corr: &model.CorrelationFunc{Model: g, Events: append([]string(nil), pmc.SelectedEvents...)}},
+		TrainedR2: 0.9,
+	}
 }

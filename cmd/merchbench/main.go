@@ -9,11 +9,8 @@
 //	merchbench -exp all -json out.json   # machine-readable summary too
 //	merchbench -exp fig4 -metrics m.json # deterministic metrics dump
 //	merchbench -exp fig4 -trace t.json   # chrome-trace event log
-//	merchbench -save sys.artifact        # checkpoint the trained system
-//	merchbench -save sys.artifact -save-format binary   # slot-format checkpoint (fast restore)
+//	merchbench -save sys.artifact        # checkpoint the trained system (binary model sections)
 //	merchbench -load sys.artifact        # serve from a checkpoint, no retraining
-//	merchbench -load a.artifact -convert b.artifact -save-format binary  # re-encode an artifact
-//	merchbench -bench-restore BENCH.json # cold-start microbenchmark, json vs binary
 //	merchbench -exp replan -quick        # PhaseShift epoch re-planning study
 //	merchbench -exp cosched -tenants spgemm=1228,bfs=512   # multi-tenant quota study
 //	merchbench -replan drift -exp fig4   # run Merchandiser cells with drift re-planning
@@ -59,15 +56,11 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write the deterministic metrics dump (per-cell registry snapshots) to this file")
 	tracePath := flag.String("trace", "", "write a chrome-trace event log of the evaluation to this file")
 	policies := flag.String("policy", "", "comma-separated policy names to evaluate (default: all registered; see -policy list)")
-	barrier := flag.Bool("barrier", false, "run training and evaluation as phase-barriered steps instead of the pace-car pipeline (for A/B timing)")
 	benchOut := flag.String("bench-out", "", "write the stable timing/benchmark report (schema "+experiments.BenchSchema+") to this file")
 	cvFlag := flag.Bool("cv", false, "also run the k-fold feature-subset search (pipelined runs overlap it with evaluation)")
 	outDir := flag.String("out", "", "directory for output files; relative -json/-metrics/-trace/-save paths are placed under it instead of the CWD")
 	savePath := flag.String("save", "", "after training, checkpoint the system (spec + correlation function) to this artifact file")
-	saveFormat := flag.String("save-format", "json", "artifact encoding for -save and -convert: json, binary or both (binary restores straight into the inference tables, no re-compile)")
 	loadPath := flag.String("load", "", "skip training and restore the system from this artifact file")
-	convertPath := flag.String("convert", "", "with -load: rewrite the loaded artifact container to this path in the -save-format encoding and exit (no restore, no retraining)")
-	benchRestore := flag.String("bench-restore", "", "measure artifact restore cold-start (json vs binary, three ensemble sizes) and write the report (schema "+experiments.BenchSchema+") to this file, then exit")
 	benchCache := flag.String("bench-cache", "", "measure the replica response cache (/place cold vs cached) and write the report (schema "+experiments.BenchSchema+") to this file, then exit")
 	replanMode := flag.String("replan", "", "Merchandiser re-planning mode for every cell: off, drift or interval (default off — byte-identical to plan-once)")
 	replanEpoch := flag.Int("replan-epoch", 0, "epoch length in policy ticks for -replan (0 = default)")
@@ -89,8 +82,6 @@ func main() {
 	if *promote && *publish == "" {
 		fail(fmt.Errorf("-promote needs -publish"))
 	}
-	format, err := merchandiser.ParseSaveFormat(*saveFormat)
-	fail(err)
 	outPath := func(p string) string {
 		if p == "" || *outDir == "" || filepath.IsAbs(p) {
 			return p
@@ -105,8 +96,6 @@ func main() {
 	*tracePath = outPath(*tracePath)
 	*benchOut = outPath(*benchOut)
 	*savePath = outPath(*savePath)
-	*convertPath = outPath(*convertPath)
-	*benchRestore = outPath(*benchRestore)
 	*benchCache = outPath(*benchCache)
 	*benchReplan = outPath(*benchReplan)
 	*cpuProfile = outPath(*cpuProfile)
@@ -151,28 +140,6 @@ func main() {
 	tenantQuotas, err := parseTenants(*tenants)
 	fail(err)
 
-	// Container-level format conversion: decode, re-section, write. The
-	// model crosses formats without a restore, so this is cheap enough
-	// for deploy scripts to run inline.
-	if *convertPath != "" {
-		if *loadPath == "" {
-			fail(fmt.Errorf("-convert needs -load (the artifact to convert)"))
-		}
-		a, err := store.ReadFile(*loadPath)
-		fail(err)
-		conv, err := store.ConvertSystemFormat(a, format)
-		fail(err)
-		fail(store.WriteFile(*convertPath, conv))
-		fmt.Fprintf(os.Stdout, "converted %s -> %s (%s)\n", *loadPath, *convertPath, format)
-		return
-	}
-
-	// Standalone cold-start benchmark: no corpus, no evaluation matrix —
-	// just the restore path, both formats, three ensemble sizes.
-	if *benchRestore != "" {
-		fail(runRestoreBench(ctx, os.Stdout, *benchRestore, cfg))
-		return
-	}
 	// Standalone cache benchmark: one synthetic artifact, one in-process
 	// replica, /place timed cold and warm.
 	if *benchCache != "" {
@@ -209,12 +176,11 @@ func main() {
 		fail(fmt.Errorf("a -load artifact carries the trained model but not the training corpus; table3, fig7, ablations and cxl retrain — run them without -load (use -exp like fig4,table4)"))
 	}
 
-	// Training + evaluation run pace-car pipelined by default: corpus
-	// simulation streams into model fitting, and evaluation cells launch
-	// as their model dependency resolves. -barrier restores the
-	// phase-barriered schedule for A/B timing; both produce byte-identical
-	// results.
-	pipelined := !*barrier && *loadPath == "" && needsEval
+	// Training + evaluation run pace-car pipelined: corpus simulation
+	// streams into model fitting, and evaluation cells launch as their
+	// model dependency resolves. Runs that need a model but no
+	// evaluation train through Prepare (the same training stage).
+	pipelined := *loadPath == "" && needsEval
 
 	var art *experiments.Artifacts
 	var eval *experiments.Eval
@@ -249,7 +215,7 @@ func main() {
 			len(art.Samples), art.TestR2, reg.WallTimer("pipeline.train_seconds").Seconds())
 	}
 	if *savePath != "" {
-		fail(saveArtifacts(*savePath, format, art, cfg))
+		fail(saveArtifacts(*savePath, art, cfg))
 		// A replan-study run embeds its drift-mode epoch reports into the
 		// checkpoint: the serving replica then answers /replanz with the
 		// provenance of the exact model it is running.
@@ -259,7 +225,7 @@ func main() {
 			fail(embedEpochs(*savePath, recs))
 			fmt.Fprintf(w, "embedded %d epoch reports into the checkpoint\n", len(recs))
 		}
-		fmt.Fprintf(w, "checkpoint written to %s (%s)\n\n", *savePath, format)
+		fmt.Fprintf(w, "checkpoint written to %s\n\n", *savePath)
 		if *publish != "" {
 			reg, err := registry.Open(*registryRoot)
 			fail(err)
@@ -406,7 +372,7 @@ func main() {
 
 // saveArtifacts checkpoints the trained pipeline via the public snapshot
 // surface, with merchbench's training provenance attached.
-func saveArtifacts(path string, format merchandiser.SaveFormat, art *experiments.Artifacts, cfg experiments.Config) error {
+func saveArtifacts(path string, art *experiments.Artifacts, cfg experiments.Config) error {
 	level := "full"
 	if cfg.Quick {
 		level = "quick"
@@ -423,7 +389,7 @@ func saveArtifacts(path string, format merchandiser.SaveFormat, art *experiments
 			Stats:   store.StatsFromMatrix(corpus.FeatureNames(pmc.SelectedEvents), X),
 		},
 	}
-	return sys.SaveFileFormat(path, format)
+	return sys.SaveFile(path)
 }
 
 // embedEpochs attaches epoch-lifecycle records to an already-written

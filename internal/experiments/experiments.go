@@ -28,10 +28,8 @@ import (
 	"merchandiser/internal/corpus"
 	"merchandiser/internal/hm"
 	"merchandiser/internal/merr"
-	"merchandiser/internal/ml"
 	"merchandiser/internal/model"
 	"merchandiser/internal/obs"
-	"merchandiser/internal/pmc"
 	"merchandiser/internal/policyreg"
 	"merchandiser/internal/stats"
 	"merchandiser/internal/task"
@@ -142,60 +140,21 @@ func trainSpec(spec hm.SystemSpec) hm.SystemSpec {
 }
 
 // Prepare trains the correlation function (offline step 1) and returns
-// the shared artifacts. This is the phase-barriered schedule: the whole
-// corpus simulates first, then the fitter replays the collected region
-// batches. Because the split and the pace schedule depend only on data
-// layout, Prepare's model is byte-identical to the one RunPipeline
-// trains with the phases overlapped. Cancellation via ctx unwinds
-// through the corpus worker pool and the boosting stages, returning an
-// error satisfying errors.Is(err, context.Canceled).
+// the shared artifacts. It runs the same training stage as RunPipeline
+// — corpus simulation streaming into the paced boosting fitter — on a
+// slot pool of its own, so its model is byte-identical to the one
+// RunPipeline trains. Cancellation via ctx unwinds through the corpus
+// worker pool and the boosting stages, returning an error satisfying
+// errors.Is(err, context.Canceled).
 func Prepare(ctx context.Context, cfg Config) (*Artifacts, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	defer cfg.Obs.WallTimer("pipeline.train_seconds").Start()()
-	spec := apps.ExperimentSpec()
-	if artifactsSpecHook != nil {
-		spec = *artifactsSpecHook
+	art := &Artifacts{Spec: experimentSpec(), Perf: &model.PerfModel{}}
+	if err := train(ctx, art, cfg, newSlotPool(cfg.workers())); err != nil {
+		return nil, err
 	}
-	nRegions, placements := 281, 10
-	if cfg.Quick {
-		nRegions, placements = 70, 6
-	}
-	regions := corpus.StandardCorpus(nRegions, cfg.Seed+1)
-	stream := corpus.BuildStream(ctx, regions, trainSpec(spec), corpus.BuildConfig{
-		Placements: placements, StepSec: 0.001, Seed: cfg.Seed + 2, Workers: cfg.workers(),
-		Obs: cfg.Obs,
-	})
-	// The barrier: collect every batch before fitting starts.
-	var batches []corpus.RegionBatch
-	for b := range stream.C {
-		batches = append(batches, b)
-	}
-	if err := stream.Wait(); err != nil {
-		return nil, fmt.Errorf("experiments: corpus: %w", err)
-	}
-	replay := make(chan corpus.RegionBatch, len(batches))
-	for _, b := range batches {
-		replay <- b
-	}
-	close(replay)
-	gbr := ml.NewGradientBoosted(ml.GBRConfig{Seed: cfg.Seed + 3, Workers: cfg.workers(), Obs: cfg.Obs})
-	res, samples, err := model.TrainCorrelationStream(ctx, replay, func() error { return nil },
-		pmc.SelectedEvents, gbr, ml.PaceConfig{Groups: len(regions)}, cfg.Seed+4)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: training: %w", err)
-	}
-	if reg := cfg.Obs; reg != nil {
-		reg.Counter("pipeline.train_samples").Add(float64(len(samples)))
-		reg.Gauge("pipeline.correlation_r2").Set(res.TestR2)
-	}
-	return &Artifacts{
-		Spec:    spec,
-		Perf:    &model.PerfModel{Corr: res.Corr},
-		Samples: samples,
-		TestR2:  res.TestR2,
-	}, nil
+	return art, nil
 }
 
 // AppNames is the evaluation order of Table 2 / Figure 4.
@@ -334,12 +293,7 @@ func extraPolicies(app string) []string {
 // returns an error satisfying errors.Is(err, context.Canceled) with no
 // goroutine left behind.
 func RunEvaluation(ctx context.Context, art *Artifacts, cfg Config) (*Eval, error) {
-	workers := cfg.workers()
-	slots := make(chan struct{}, workers)
-	for i := 0; i < workers; i++ {
-		slots <- struct{}{}
-	}
-	return runEvaluationGated(ctx, art, cfg, slots, nil)
+	return runEvaluationGated(ctx, art, cfg, newSlotPool(cfg.workers()), nil)
 }
 
 // runEvaluationGated is the lane scheduler behind RunEvaluation and
@@ -349,7 +303,7 @@ func RunEvaluation(ctx context.Context, art *Artifacts, cfg Config) (*Eval, erro
 // their cells wait for the channel to close, while pure-baseline cells
 // launch immediately — the "eval cells start as their dependency
 // resolves" half of the pace-car pipeline.
-func runEvaluationGated(ctx context.Context, art *Artifacts, cfg Config, slots chan struct{}, modelReady <-chan struct{}) (*Eval, error) {
+func runEvaluationGated(ctx context.Context, art *Artifacts, cfg Config, slots slotPool, modelReady <-chan struct{}) (*Eval, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -9,6 +9,7 @@ import (
 
 	"merchandiser/internal/apps"
 	"merchandiser/internal/corpus"
+	"merchandiser/internal/hm"
 	"merchandiser/internal/merr"
 	"merchandiser/internal/ml"
 	"merchandiser/internal/model"
@@ -38,10 +39,10 @@ type PipelineResult struct {
 // model-consuming cells (plus the optional CV search) start the moment
 // fitting resolves — end-to-end wall time tracks the critical path
 // instead of the sum of phases. One slot pool of cfg.Workers permits
-// bounds the whole pipeline, so "Workers" means the same thing it did
-// for the barriered phases. Results (artifacts, eval matrix, CV scores)
-// are byte-identical for any worker count; the overlap changes only
-// scheduling.
+// bounds the whole pipeline, so "Workers" means the same thing it does
+// for Prepare and RunEvaluation. Results (artifacts, eval matrix, CV
+// scores) are byte-identical for any worker count and to Prepare
+// followed by RunEvaluation; the overlap changes only scheduling.
 //
 // Phase walls land in cfg.Obs as volatile timers:
 // pipeline.train_seconds (corpus start → model ready),
@@ -52,59 +53,17 @@ func RunPipeline(ctx context.Context, cfg Config, opts PipelineOptions) (*Pipeli
 		ctx = context.Background()
 	}
 	defer cfg.Obs.WallTimer("pipeline.e2e_seconds").Start()()
-	workers := cfg.workers()
-	slots := make(chan struct{}, workers)
-	for i := 0; i < workers; i++ {
-		slots <- struct{}{}
-	}
-	gate := func(ctx context.Context) (func(), error) {
-		select {
-		case <-slots:
-			return func() { slots <- struct{}{} }, nil
-		case <-ctx.Done():
-			return nil, merr.FromContext(ctx, "experiments: pipeline canceled")
-		}
-	}
-
-	spec := apps.ExperimentSpec()
-	if artifactsSpecHook != nil {
-		spec = *artifactsSpecHook
-	}
-	nRegions, placements := 281, 10
-	if cfg.Quick {
-		nRegions, placements = 70, 6
-	}
-	regions := corpus.StandardCorpus(nRegions, cfg.Seed+1)
+	pool := newSlotPool(cfg.workers())
 
 	// art.Perf is allocated before any goroutine starts; the trainer
 	// publishes the model by writing art.Perf.Corr and then closing
 	// modelReady, so every reader of Corr is ordered after the write.
-	art := &Artifacts{Spec: spec, Perf: &model.PerfModel{}}
+	art := &Artifacts{Spec: experimentSpec(), Perf: &model.PerfModel{}}
 	modelReady := make(chan struct{})
 	trainDone := make(chan error, 1)
 	go func() {
 		defer close(modelReady)
-		stop := cfg.Obs.WallTimer("pipeline.train_seconds").Start()
-		stream := corpus.BuildStream(ctx, regions, trainSpec(spec), corpus.BuildConfig{
-			Placements: placements, StepSec: 0.001, Seed: cfg.Seed + 2, Workers: workers,
-			Gate: gate, Obs: cfg.Obs,
-		})
-		gbr := ml.NewGradientBoosted(ml.GBRConfig{Seed: cfg.Seed + 3, Workers: workers, Obs: cfg.Obs})
-		res, samples, err := model.TrainCorrelationStream(ctx, stream.C, stream.Wait, pmc.SelectedEvents, gbr,
-			ml.PaceConfig{Groups: len(regions), Gate: gate}, cfg.Seed+4)
-		stop()
-		if err != nil {
-			trainDone <- fmt.Errorf("experiments: training: %w", err)
-			return
-		}
-		art.Perf.Corr = res.Corr
-		art.Samples = samples
-		art.TestR2 = res.TestR2
-		if reg := cfg.Obs; reg != nil {
-			reg.Counter("pipeline.train_samples").Add(float64(len(samples)))
-			reg.Gauge("pipeline.correlation_r2").Set(res.TestR2)
-		}
-		trainDone <- nil
+		trainDone <- train(ctx, art, cfg, pool)
 	}()
 
 	var (
@@ -124,11 +83,11 @@ func RunPipeline(ctx context.Context, cfg Config, opts PipelineOptions) (*Pipeli
 			if art.Perf.Corr == nil {
 				return // training failed; its error takes precedence
 			}
-			cvRes, cvErr = CVFeatureSearch(ctx, art, cfg, gate)
+			cvRes, cvErr = CVFeatureSearch(ctx, art, cfg, pool.acquire)
 		}()
 	}
 
-	eval, evalErr := runEvaluationGated(ctx, art, cfg, slots, modelReady)
+	eval, evalErr := runEvaluationGated(ctx, art, cfg, pool, modelReady)
 	trainErr := <-trainDone
 	cvWG.Wait()
 
@@ -145,6 +104,74 @@ func RunPipeline(ctx context.Context, cfg Config, opts PipelineOptions) (*Pipeli
 		return nil, cvErr
 	}
 	return &PipelineResult{Artifacts: art, Eval: eval, CV: cvRes}, nil
+}
+
+// slotPool is a run's worker-slot pool: cfg.Workers permits shared by
+// every stage (corpus producers, the fitter, evaluation lanes, CV
+// folds). A stage holds a permit while it computes, never while it
+// waits.
+type slotPool chan struct{}
+
+func newSlotPool(n int) slotPool {
+	p := make(slotPool, n)
+	for i := 0; i < n; i++ {
+		p <- struct{}{}
+	}
+	return p
+}
+
+// acquire takes a permit and returns its release, or fails once ctx is
+// done.
+func (p slotPool) acquire(ctx context.Context) (func(), error) {
+	select {
+	case <-p:
+		return func() { p <- struct{}{} }, nil
+	case <-ctx.Done():
+		return nil, merr.FromContext(ctx, "experiments: pipeline canceled")
+	}
+}
+
+// experimentSpec is the evaluation platform (Table 1), unless a study
+// substitutes its own through artifactsSpecHook.
+func experimentSpec() hm.SystemSpec {
+	if artifactsSpecHook != nil {
+		return *artifactsSpecHook
+	}
+	return apps.ExperimentSpec()
+}
+
+// train is the training stage of Prepare and RunPipeline: corpus
+// simulation streams per-region batches into the paced boosting fitter,
+// both holding pool permits while they compute. On success it writes
+// the trained correlation function into art.Perf.Corr, plus the corpus
+// and held-out R²; art.Spec and art.Perf must already be set. The
+// stage's wall lands in cfg.Obs as pipeline.train_seconds.
+func train(ctx context.Context, art *Artifacts, cfg Config, pool slotPool) error {
+	defer cfg.Obs.WallTimer("pipeline.train_seconds").Start()()
+	nRegions, placements := 281, 10
+	if cfg.Quick {
+		nRegions, placements = 70, 6
+	}
+	regions := corpus.StandardCorpus(nRegions, cfg.Seed+1)
+	workers := cfg.workers()
+	stream := corpus.BuildStream(ctx, regions, trainSpec(art.Spec), corpus.BuildConfig{
+		Placements: placements, StepSec: 0.001, Seed: cfg.Seed + 2, Workers: workers,
+		Gate: pool.acquire, Obs: cfg.Obs,
+	})
+	gbr := ml.NewGradientBoosted(ml.GBRConfig{Seed: cfg.Seed + 3, Workers: workers, Obs: cfg.Obs})
+	res, samples, err := model.TrainCorrelationStream(ctx, stream.C, stream.Wait, pmc.SelectedEvents, gbr,
+		ml.PaceConfig{Groups: len(regions), Gate: pool.acquire}, cfg.Seed+4)
+	if err != nil {
+		return fmt.Errorf("experiments: training: %w", err)
+	}
+	art.Perf.Corr = res.Corr
+	art.Samples = samples
+	art.TestR2 = res.TestR2
+	if reg := cfg.Obs; reg != nil {
+		reg.Counter("pipeline.train_samples").Add(float64(len(samples)))
+		reg.Gauge("pipeline.correlation_r2").Set(res.TestR2)
+	}
+	return nil
 }
 
 // CVResult is one event-subset candidate scored by k-fold

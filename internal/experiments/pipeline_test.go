@@ -27,13 +27,15 @@ func evalDigest(e *Eval) map[string]string {
 	return out
 }
 
-func modelDump(t *testing.T, art *Artifacts) *ml.GBRDump {
+// modelDump is the model-equality witness: the trained model's flat
+// form — node records, roots, depths and metadata.
+func modelDump(t *testing.T, art *Artifacts) *ml.FlatModel {
 	t.Helper()
 	gbr, ok := art.Perf.Corr.Model.(*ml.GradientBoosted)
 	if !ok {
 		t.Fatalf("correlation model is %T, want *ml.GradientBoosted", art.Perf.Corr.Model)
 	}
-	d, err := gbr.Dump()
+	d, err := ml.DumpFlat(gbr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +43,8 @@ func modelDump(t *testing.T, art *Artifacts) *ml.GBRDump {
 }
 
 // TestRunPipelineIdentity: the pipelined schedule produces byte-identical
-// results for any worker count, and matches the phase-barriered
-// Prepare → RunEvaluation sequence — overlap changes only scheduling.
+// results for any worker count, and matches the sequential
+// Prepare → RunEvaluation run — overlap changes only scheduling.
 func TestRunPipelineIdentity(t *testing.T) {
 	run := func(workers int) *PipelineResult {
 		cfg := quickCfg()
@@ -72,7 +74,7 @@ func TestRunPipelineIdentity(t *testing.T) {
 		t.Fatalf("CV feature search differs:\n%v\nvs\n%v", p1.CV, p8.CV)
 	}
 
-	// Barriered reference: full corpus, then fit, then evaluate.
+	// Sequential reference: train, then evaluate.
 	cfg := quickCfg()
 	cfg.Workers = 8
 	art, err := Prepare(context.Background(), cfg)

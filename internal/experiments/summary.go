@@ -35,7 +35,8 @@ type Timing struct {
 	// Workers is the concurrency the run used (0 was resolved to NumCPU).
 	Workers int `json:"workers"`
 	// Pipelined records whether the phases overlapped (RunPipeline) or
-	// ran barriered (Prepare then RunEvaluation).
+	// ran one after the other (Prepare or a restored model, then
+	// RunEvaluation).
 	Pipelined bool `json:"pipelined"`
 	// TrainSeconds is corpus generation + correlation-function fitting.
 	TrainSeconds float64 `json:"train_seconds"`
@@ -50,7 +51,7 @@ type Timing struct {
 	E2ESeconds float64 `json:"e2e_seconds,omitempty"`
 	// OverlapRatio is (TrainSeconds+EvalSeconds)/E2ESeconds. Values
 	// above 1 prove the phases overlapped instead of serializing; 1
-	// means a barriered schedule.
+	// means they ran one after the other.
 	OverlapRatio float64 `json:"overlap_ratio,omitempty"`
 	// PlacementMicros is one Algorithm 1 partitioning of a 24-task
 	// instance with the trained model (the §7.2 overhead claim).

@@ -313,10 +313,13 @@ func TestGateReplays503BodyWithHeaders(t *testing.T) {
 	}
 }
 
+// TestGateFleetzShapeFollowsCacheConfig: /fleetz is always one
+// FleetResponse object; the cache config decides only whether its
+// cache block is present.
 func TestGateFleetzShapeFollowsCacheConfig(t *testing.T) {
 	a := newFakeReplica(t, "v1")
 
-	// Cache off: the legacy bare array, byte-compatible with old clients.
+	// Cache off: the same object, with the cache block omitted.
 	g0 := testGate(t, Config{Backends: []string{a.srv.URL}})
 	waitReady(t, g0)
 	front0 := httptest.NewServer(g0.Handler())
@@ -327,8 +330,14 @@ func TestGateFleetzShapeFollowsCacheConfig(t *testing.T) {
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if len(raw) == 0 || raw[0] != '[' {
-		t.Fatalf("cache-off /fleetz is not the legacy array: %s", raw)
+	var off FleetResponse
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&off); err != nil {
+		t.Fatalf("cache-off /fleetz is not a FleetResponse: %v: %s", err, raw)
+	}
+	if len(off.Backends) != 1 || off.Cache != nil || bytes.Contains(raw, []byte(`"cache"`)) {
+		t.Fatalf("cache-off /fleetz: want one backend and no cache block, got %s", raw)
 	}
 
 	// Cache on: an object with backends + cache counters.

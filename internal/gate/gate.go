@@ -114,9 +114,8 @@ type BackendStatus struct {
 	LastErr string `json:"last_error,omitempty"`
 }
 
-// FleetResponse is the /fleetz body when the response cache is enabled:
-// the replica rows plus the cache's counters. With the cache off the
-// endpoint keeps serving the legacy bare array of BackendStatus.
+// FleetResponse is the /fleetz body: the replica rows, plus the
+// response cache's counters when the cache is enabled.
 type FleetResponse struct {
 	Backends []BackendStatus `json:"backends"`
 	Cache    *FleetCache     `json:"cache,omitempty"`
@@ -587,21 +586,17 @@ func (g *Gate) Handler() http.Handler {
 	})
 	mux.HandleFunc("/fleetz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if g.cache == nil {
-			// Cache off: the legacy bare-array body, byte-identical.
-			json.NewEncoder(w).Encode(g.Fleet())
-			return
-		}
-		stats, collapsed := g.CacheStats()
-		json.NewEncoder(w).Encode(FleetResponse{
-			Backends: g.Fleet(),
-			Cache: &FleetCache{
+		fleet := FleetResponse{Backends: g.Fleet()}
+		if g.cache != nil {
+			stats, collapsed := g.CacheStats()
+			fleet.Cache = &FleetCache{
 				Stats:        stats,
 				Collapsed:    collapsed,
 				HitRate:      stats.HitRate(),
 				ConvergedSHA: g.convergedSHA(),
-			},
-		})
+			}
+		}
+		json.NewEncoder(w).Encode(fleet)
 	})
 	mux.HandleFunc("/place", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {

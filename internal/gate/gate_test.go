@@ -237,12 +237,12 @@ func TestGateFleetzReportsVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var fleet []BackendStatus
-	if err := json.NewDecoder(resp.Body).Decode(&fleet); err != nil {
+	var body FleetResponse
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if len(fleet) != 2 {
-		t.Fatalf("fleetz rows: %d", len(fleet))
+	if len(body.Backends) != 2 {
+		t.Fatalf("fleetz rows: %d", len(body.Backends))
 	}
 }
 

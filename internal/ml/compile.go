@@ -18,9 +18,9 @@ package ml
 // pointer walk, and the ensemble kernels accumulate stages/trees in fit
 // order per row, so every output is bit-identical to the pointer path
 // (enforced by the differential tests in compile_test.go). Models
-// compile themselves after Fit, and the serialization loaders build
-// compiled tables directly from dumps — a restored model predicts
-// without ever rebuilding a pointer tree.
+// compile themselves after Fit, and LoadFlat installs a persisted
+// kernel table as-is — a restored model predicts without ever
+// rebuilding a pointer tree.
 
 import "math"
 
@@ -74,13 +74,38 @@ func (c *CompiledTree) PredictAll(X [][]float64) []float64 {
 	return out
 }
 
+// NodeDump is one node of a tree's preorder flattening, the form Fit
+// lowers its pointer tree through on the way to the node table.
+// Internal nodes carry the split (Feature, Threshold) and child
+// indices; leaves carry the prediction.
+type NodeDump struct {
+	Feature   int     `json:"f,omitempty"`
+	Threshold float64 `json:"t,omitempty"`
+	Left      int     `json:"l,omitempty"`
+	Right     int     `json:"r,omitempty"`
+	Value     float64 `json:"v,omitempty"`
+	Leaf      bool    `json:"leaf,omitempty"`
+}
+
+// dumpNode flattens the subtree rooted at n in preorder, returning the
+// node's index.
+func dumpNode(n *treeNode, nodes *[]NodeDump) int {
+	idx := len(*nodes)
+	*nodes = append(*nodes, NodeDump{})
+	if n.leaf {
+		(*nodes)[idx] = NodeDump{Value: n.value, Leaf: true}
+		return idx
+	}
+	l := dumpNode(n.left, nodes)
+	r := dumpNode(n.right, nodes)
+	(*nodes)[idx] = NodeDump{Feature: n.feature, Threshold: n.threshold, Left: l, Right: r}
+	return idx
+}
+
 // compileDump lowers a flat preorder dump into a node table, enforcing
-// the same well-formedness rules the pointer reconstruction used to:
-// every node reachable from the root exactly once (no cycles, shared
-// subtrees or dangling nodes), in-range child indices, finite floats.
-// The table preserves the dump's node indices, so compile∘dump is the
-// identity — which is what keeps re-snapshotting a restored model
-// byte-identical to the original artifact.
+// well-formedness: every node reachable from the root exactly once (no
+// cycles, shared subtrees or dangling nodes), in-range child indices,
+// finite floats. The table preserves the dump's node indices.
 func compileDump(nodes []NodeDump) (*CompiledTree, error) {
 	n := len(nodes)
 	if n == 0 {
@@ -138,27 +163,8 @@ func compileDump(nodes []NodeDump) (*CompiledTree, error) {
 	return c, nil
 }
 
-// dump re-emits the preorder node list the table was compiled from.
-func (c *CompiledTree) dump() []NodeDump {
-	nodes := make([]NodeDump, len(c.feature))
-	for i, f := range c.feature {
-		if f == leafNode {
-			nodes[i] = NodeDump{Value: c.val[i], Leaf: true}
-		} else {
-			nodes[i] = NodeDump{
-				Feature:   int(f),
-				Threshold: c.val[i],
-				Left:      int(c.left[i]),
-				Right:     int(c.right[i]),
-			}
-		}
-	}
-	return nodes
-}
-
-// Compile returns the tree's flat inference engine. Fitted trees are
-// always compiled (Fit and LoadTree both build the table), so this only
-// fails on an unfitted tree.
+// Compile returns the tree's flat inference engine. Fit always builds
+// the table, so this only fails on an unfitted tree.
 func (t *DecisionTree) Compile() (*CompiledTree, error) {
 	if !t.fitted || t.flat == nil {
 		return nil, ErrNotFitted
@@ -167,8 +173,7 @@ func (t *DecisionTree) Compile() (*CompiledTree, error) {
 }
 
 // NodeRec is one node of the ensemble kernel's table. The per-tree
-// CompiledTree keeps struct-of-arrays columns (that is the dump-facing
-// layout), but the walk loop touches every field of exactly one node
+// CompiledTree keeps struct-of-arrays columns in preorder, but the walk loop touches every field of exactly one node
 // per step, so the kernel interleaves the columns back into one
 // 24-byte record: one bounds check and at most one cache-line fill per
 // step instead of four of each across parallel slices. The table is

@@ -54,28 +54,28 @@ func TestCompiledMatchesPointer(t *testing.T) {
 
 		// Restored models never rebuild pointer trees, so compare them
 		// against the original fitted model's pointer walk.
-		gd, err := gbr.Dump()
+		gf, err := DumpFlat(gbr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored, err := LoadGBR(roundTripJSON(t, gd), LoadOptions{Workers: 2})
+		restored, err := LoadFlat(wireRoundTrip(t, gf), LoadOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if restored.trees[0].root != nil {
-			t.Fatal("restored tree rebuilt a pointer tree; the load path should compile straight from the dump")
+		if rg := restored.(*GradientBoosted); rg.trees != nil {
+			t.Fatal("restored GBR rebuilt pointer trees; the load path should install the flat table as-is")
 		}
-		assertBitEqual(t, "restored gbr", probe, gbr.predictPointer, restored.Predict, restored.PredictAll)
+		assertBitEqual(t, "restored gbr", probe, gbr.predictPointer, restored.Predict, restored.(BatchRegressor).PredictAll)
 
-		fd, err := forest.Dump()
+		ff, err := DumpFlat(forest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		restoredF, err := LoadForest(roundTripJSON(t, fd), LoadOptions{})
+		restoredF, err := LoadFlat(wireRoundTrip(t, ff), LoadOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertBitEqual(t, "restored forest", probe, forest.predictPointer, restoredF.Predict, restoredF.PredictAll)
+		assertBitEqual(t, "restored forest", probe, forest.predictPointer, restoredF.Predict, restoredF.(BatchRegressor).PredictAll)
 	}
 }
 
@@ -109,25 +109,63 @@ func TestCompileExposesEngines(t *testing.T) {
 	}
 }
 
-// TestCompiledDumpRoundTrip asserts compile∘dump is the identity on
-// node tables — the invariant that keeps re-snapshotting a restored
-// model byte-identical.
+// TestCompiledDumpRoundTrip asserts Fit's lowering is lossless: the
+// compiled table keeps the preorder dump's node indices, so every
+// column reads back exactly the node it was compiled from.
 func TestCompiledDumpRoundTrip(t *testing.T) {
 	X, y := serializeTrainingSet(200, 4, 11)
 	tree := NewDecisionTree(TreeConfig{MaxDepth: 7, Seed: 11})
 	if err := tree.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	nodes := tree.flat.dump()
-	again, err := compileDump(nodes)
+	var nodes []NodeDump
+	dumpNode(tree.root, &nodes)
+	c, err := compileDump(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw1, _ := json.Marshal(nodes)
-	raw2, _ := json.Marshal(again.dump())
-	if string(raw1) != string(raw2) {
-		t.Fatal("compile∘dump is not the identity")
+	if c.NumNodes() != len(nodes) {
+		t.Fatalf("compiled %d nodes from a %d-node dump", c.NumNodes(), len(nodes))
 	}
+	for i, nd := range nodes {
+		if nd.Leaf {
+			if c.feature[i] != leafNode || c.val[i] != nd.Value {
+				t.Fatalf("leaf %d does not read back", i)
+			}
+			continue
+		}
+		if int(c.feature[i]) != nd.Feature || c.val[i] != nd.Threshold ||
+			int(c.left[i]) != nd.Left || int(c.right[i]) != nd.Right {
+			t.Fatalf("internal node %d does not read back", i)
+		}
+	}
+}
+
+// TestTreeDumpRoundTrip: a fitted tree's node dump, pushed through its
+// JSON encoding and compiled back, predicts bit-identically to the
+// pointer tree it was dumped from, row by row and in batch.
+func TestTreeDumpRoundTrip(t *testing.T) {
+	X, y := serializeTrainingSet(200, 4, 1)
+	tree := NewDecisionTree(TreeConfig{MaxDepth: 6, Seed: 7})
+	if err := tree.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	var nodes []NodeDump
+	dumpNode(tree.root, &nodes)
+	raw, err := json.Marshal(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back []NodeDump
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	c, err := compileDump(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, _ := serializeTrainingSet(100, 4, 2)
+	assertBitEqual(t, "tree dump", probe, tree.root.predict, c.Predict, c.PredictAll)
 }
 
 // TestCompiledPredictZeroAllocs is the allocation regression gate for
@@ -164,8 +202,8 @@ func TestCompiledPredictZeroAllocs(t *testing.T) {
 // FuzzCompileTree feeds arbitrary node tables to the compiler: it must
 // reject every malformed table (out-of-range or negative child
 // indices, cycles, shared subtrees, unreachable nodes, non-finite
-// floats) and produce a terminating, finite, round-trippable engine
-// for every table it accepts.
+// floats) and produce a terminating, finite engine for every table it
+// accepts, whose kernel layout passes the validator LoadFlat runs.
 func FuzzCompileTree(f *testing.F) {
 	seed := func(nodes []NodeDump) {
 		raw, err := json.Marshal(nodes)
@@ -192,7 +230,7 @@ func FuzzCompileTree(f *testing.F) {
 			return // rejected; nothing to check
 		}
 		// Accepted tables must be well-formed: every walk terminates at a
-		// finite leaf, and the table round-trips through its dump.
+		// finite leaf, and the kernel layout validates and agrees.
 		maxFeature := 0
 		for _, f := range c.feature {
 			if int(f) > maxFeature {
@@ -209,12 +247,16 @@ func FuzzCompileTree(f *testing.F) {
 				t.Fatalf("accepted table predicts non-finite %v", v)
 			}
 		}
-		again, err := compileDump(c.dump())
-		if err != nil {
-			t.Fatalf("dump of accepted table rejected on recompile: %v", err)
+		var nt nodeTable
+		nt.appendTree(c)
+		if nt.depth[0] > maxTreeDepth {
+			return // compiles, but deeper than a flat table may declare
 		}
-		if again.NumNodes() != c.NumNodes() {
-			t.Fatalf("recompiled table has %d nodes, want %d", again.NumNodes(), c.NumNodes())
+		if err := validateNodeTable(nt.nodes, nt.roots, nt.depth); err != nil {
+			t.Fatalf("kernel layout of an accepted table fails validation: %v", err)
+		}
+		if w, g := c.Predict(x), nt.walk(nt.roots[0], nt.depth[0], x); math.Float64bits(w) != math.Float64bits(g) {
+			t.Fatalf("kernel walk %v disagrees with the compiled tree %v", g, w)
 		}
 	})
 }

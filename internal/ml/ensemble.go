@@ -43,9 +43,6 @@ type RandomForest struct {
 	compiled    *CompiledForest
 	importances []float64
 	fitted      bool
-	// flatMeta is retained by LoadFlat so a flat-restored forest (which
-	// has no pointer trees) can still reproduce its JSON dump exactly.
-	flatMeta *FlatMeta
 }
 
 // NewRandomForest builds an unfitted forest.
@@ -138,7 +135,6 @@ func (f *RandomForest) FitContext(ctx context.Context, X [][]float64, y []float6
 		}
 	}
 	f.fitted = true
-	f.flatMeta = nil
 	compiled, err := compileForest(f.trees, f.Config.Workers)
 	if err != nil {
 		f.fitted = false
@@ -233,9 +229,6 @@ type GradientBoosted struct {
 	compiled    *CompiledGBR
 	importances []float64
 	fitted      bool
-	// flatMeta is retained by LoadFlat so a flat-restored model (which
-	// has no pointer trees) can still reproduce its JSON dump exactly.
-	flatMeta *FlatMeta
 	// predictions is resolved once at construction so the per-call cost of
 	// counting Predict/PredictAll rows is a nil check plus an atomic add.
 	predictions *obs.Counter
@@ -336,7 +329,6 @@ func (g *GradientBoosted) FitContext(ctx context.Context, X [][]float64, y []flo
 		}
 	}
 	g.fitted = true
-	g.flatMeta = nil
 	compiled, err := compileGBR(g.base, g.Config.LearningRate, g.trees, g.Config.Workers)
 	if err != nil {
 		g.fitted = false

@@ -1,11 +1,13 @@
 package ml
 
-// This file is the flat serialization boundary of the compiled
-// inference engine: the kernel's interleaved NodeRec table IS the wire
-// format. DumpFlat exposes a fitted ensemble's node table, tree index
-// and metadata without copying the hot arrays; LoadFlat ingests them
-// straight back into a servable model — no JSON decode of node arrays,
-// no pointer tree, no re-compile. The binary artifact sections of
+// This file is the serialization boundary of the model zoo, and the
+// kernel's interleaved NodeRec table IS the wire format. DumpFlat
+// exposes a fitted ensemble's node table, tree index and metadata
+// without copying the hot arrays; LoadFlat ingests them straight back
+// into a servable model — no pointer tree, no re-compile, no refit.
+// Runtime knobs that do not affect predictions (worker counts,
+// observability registries) are not persisted and are re-attached at
+// load time via LoadOptions. The binary artifact sections of
 // internal/store persist exactly these slices (24-byte little-endian
 // records), so restoring a model of any size is one contiguous read
 // plus an O(n) structural validation pass over flat memory.
@@ -18,17 +20,14 @@ package ml
 // finiteness — so the branch-free walk kernels can never index out of
 // range, loop forever, or compare NaNs. Every violation classifies as
 // merr.ErrBadArtifact.
-//
-// Models loaded through LoadFlat have no pointer trees (trees == nil);
-// their Dump path decompiles the BFS table back to the canonical
-// preorder node list (decompileRange), which reproduces the original
-// JSON dump byte-for-byte — that is what keeps the json and binary
-// artifact formats freely convertible in both directions.
 
 import (
 	"encoding/binary"
 	"math"
 	"unsafe"
+
+	"merchandiser/internal/merr"
+	"merchandiser/internal/obs"
 )
 
 // NodeRecBytes is the wire size of one NodeRec: two float64s and two
@@ -37,8 +36,7 @@ const NodeRecBytes = 24
 
 // maxTreeDepth bounds the per-tree height a flat table may declare.
 // Real trees are depth <= ~10 (TreeConfig.MaxDepth); the bound keeps a
-// hostile table from making every walk take millions of steps and
-// keeps the decompiler's recursion shallow.
+// hostile table from making every walk take millions of steps.
 const maxTreeDepth = 512
 
 // Compile-time guards: the serialization below assumes this exact
@@ -118,34 +116,49 @@ func getNodeRec(b []byte, r *NodeRec) {
 	r.Left = int32(binary.LittleEndian.Uint32(b[20:]))
 }
 
-// FlatMeta is the part of a model dump that is not the kernel table:
-// the model kind, its hyperparameters, and the importance vectors and
-// per-tree configs the JSON dump form carries. It is O(trees·features)
-// — negligible next to the node records — and travels as a small
-// canonical-JSON trailer of the binary section.
+// GBRParams are the GradientBoosted hyperparameters that shape the
+// fitted model (GBRConfig minus the runtime knobs Workers and Obs).
+type GBRParams struct {
+	NumStages      int     `json:"num_stages"`
+	LearningRate   float64 `json:"learning_rate"`
+	MaxDepth       int     `json:"max_depth"`
+	MinSamplesLeaf int     `json:"min_samples_leaf,omitempty"`
+	Subsample      float64 `json:"subsample"`
+	Seed           int64   `json:"seed"`
+}
+
+// ForestParams are the RandomForest hyperparameters (ForestConfig minus
+// Workers).
+type ForestParams struct {
+	NumTrees       int   `json:"num_trees"`
+	MaxDepth       int   `json:"max_depth"`
+	MinSamplesLeaf int   `json:"min_samples_leaf,omitempty"`
+	MaxFeatures    int   `json:"max_features,omitempty"`
+	Seed           int64 `json:"seed"`
+}
+
+// FlatMeta is the part of a flat model that is not the kernel table:
+// the model kind, its hyperparameters, the GBR base prediction and the
+// ensemble importance vector. It is O(features) — negligible next to
+// the node records — and travels as a small canonical-JSON tail of the
+// binary node section.
 type FlatMeta struct {
-	// Kind is the model's Name(): "GBR", "RFR" or "DTR".
+	// Kind is the model's Name(): "GBR" or "RFR".
 	Kind string `json:"kind"`
-	// Base is the GBR base prediction (0 for other kinds).
+	// Base is the GBR base prediction (0 for forests).
 	Base float64 `json:"base,omitempty"`
 	// GBR / Forest carry the ensemble hyperparameters; exactly the one
-	// matching Kind is set (neither for DTR).
+	// matching Kind is set.
 	GBR    *GBRParams    `json:"gbr,omitempty"`
 	Forest *ForestParams `json:"forest,omitempty"`
 	// Importances is the ensemble-level importance vector.
 	Importances []float64 `json:"importances,omitempty"`
-	// TreeConfigs and TreeImportances hold each tree's config and
-	// importance vector, in table order — what TreeDump carries in the
-	// JSON form.
-	TreeConfigs     []TreeConfig `json:"tree_configs"`
-	TreeImportances [][]float64  `json:"tree_importances,omitempty"`
 }
 
 // FlatModel is a compiled ensemble in serialization form: the kernel's
-// node table, the per-tree roots and heights, and the metadata needed
-// to reproduce the JSON dump exactly. DumpFlat shares the live model's
-// slices (callers must not mutate them); LoadFlat takes ownership of
-// the slices it is given.
+// node table, the per-tree roots and heights, and the model metadata.
+// DumpFlat shares the live model's slices (callers must not mutate
+// them); LoadFlat takes ownership of the slices it is given.
 type FlatModel struct {
 	Nodes []NodeRec
 	Roots []int32
@@ -156,115 +169,87 @@ type FlatModel struct {
 // NumTrees returns the tree count of the flat table.
 func (f *FlatModel) NumTrees() int { return len(f.Roots) }
 
-// DumpFlat exposes a fitted model's compiled table for serialization.
-// The returned slices alias the model's own kernel table — no node is
-// copied — so the caller must treat them as read-only.
+// LoadOptions re-attaches the runtime knobs a flat model does not carry.
+type LoadOptions struct {
+	// Workers bounds PredictAll concurrency of the loaded model (0 uses
+	// runtime.NumCPU()). Predictions are identical for any value.
+	Workers int
+	// Obs, when non-nil, receives the loaded model's predict counters and
+	// timers — fit counters stay untouched, which is how tests prove the
+	// restore path does zero training work.
+	Obs *obs.Registry
+}
+
+// DumpFlat exposes a fitted ensemble's compiled table for
+// serialization. The returned slices alias the model's own kernel
+// table — no node is copied — so the caller must treat them as
+// read-only. Only the ensembles persist: a lone tree, SVR, KNN and MLP
+// are never the pipeline's selected model and are rejected. The
+// metadata is rebuilt from the model's config, so dumping a flat-loaded
+// model reproduces the form it was loaded from.
 func DumpFlat(m Regressor) (*FlatModel, error) {
+	var tab *nodeTable
+	var meta FlatMeta
 	switch v := m.(type) {
 	case *GradientBoosted:
 		if !v.fitted || v.compiled == nil {
 			return nil, ErrNotFitted
 		}
-		meta, err := v.flatMetaNow()
-		if err != nil {
-			return nil, err
+		tab = &v.compiled.tab
+		c := v.Config
+		meta = FlatMeta{
+			Kind: v.Name(),
+			Base: v.base,
+			GBR: &GBRParams{
+				NumStages:      c.NumStages,
+				LearningRate:   c.LearningRate,
+				MaxDepth:       c.MaxDepth,
+				MinSamplesLeaf: c.MinSamplesLeaf,
+				Subsample:      c.Subsample,
+				Seed:           c.Seed,
+			},
+			Importances: v.Importances(),
 		}
-		tab := &v.compiled.tab
-		return &FlatModel{Nodes: tab.nodes, Roots: tab.roots, Depth: tab.depth, Meta: *meta}, nil
 	case *RandomForest:
 		if !v.fitted || v.compiled == nil {
 			return nil, ErrNotFitted
 		}
-		meta, err := v.flatMetaNow()
-		if err != nil {
-			return nil, err
+		tab = &v.compiled.tab
+		c := v.Config
+		meta = FlatMeta{
+			Kind: v.Name(),
+			Forest: &ForestParams{
+				NumTrees:       c.NumTrees,
+				MaxDepth:       c.MaxDepth,
+				MinSamplesLeaf: c.MinSamplesLeaf,
+				MaxFeatures:    c.MaxFeatures,
+				Seed:           c.Seed,
+			},
+			Importances: v.Importances(),
 		}
-		tab := &v.compiled.tab
-		return &FlatModel{Nodes: tab.nodes, Roots: tab.roots, Depth: tab.depth, Meta: *meta}, nil
-	case *DecisionTree:
-		if !v.fitted || v.flat == nil {
-			return nil, ErrNotFitted
-		}
-		var nt nodeTable
-		nt.appendTree(v.flat)
-		meta := FlatMeta{
-			Kind:            v.Name(),
-			TreeConfigs:     []TreeConfig{v.Config},
-			TreeImportances: [][]float64{append([]float64(nil), v.importances...)},
-		}
-		return &FlatModel{Nodes: nt.nodes, Roots: nt.roots, Depth: nt.depth, Meta: meta}, nil
 	default:
 		return nil, badModel("model %s has no flat serialization", m.Name())
 	}
+	return &FlatModel{Nodes: tab.nodes, Roots: tab.roots, Depth: tab.depth, Meta: meta}, nil
 }
 
-// flatMetaNow assembles the GBR's FlatMeta: from the retained restore
-// metadata when the model was loaded flat, otherwise from the fitted
-// trees.
-func (g *GradientBoosted) flatMetaNow() (*FlatMeta, error) {
-	if g.flatMeta != nil {
-		return g.flatMeta, nil
-	}
-	m := &FlatMeta{
-		Kind: g.Name(),
-		Base: g.base,
-		GBR: &GBRParams{
-			NumStages:      g.Config.NumStages,
-			LearningRate:   g.Config.LearningRate,
-			MaxDepth:       g.Config.MaxDepth,
-			MinSamplesLeaf: g.Config.MinSamplesLeaf,
-			Subsample:      g.Config.Subsample,
-			Seed:           g.Config.Seed,
-		},
-		Importances: append([]float64(nil), g.importances...),
-	}
-	for _, t := range g.trees {
-		m.TreeConfigs = append(m.TreeConfigs, t.Config)
-		m.TreeImportances = append(m.TreeImportances, append([]float64(nil), t.importances...))
-	}
-	return m, nil
-}
-
-// flatMetaNow assembles the forest's FlatMeta (see the GBR variant).
-func (f *RandomForest) flatMetaNow() (*FlatMeta, error) {
-	if f.flatMeta != nil {
-		return f.flatMeta, nil
-	}
-	m := &FlatMeta{
-		Kind: f.Name(),
-		Forest: &ForestParams{
-			NumTrees:       f.Config.NumTrees,
-			MaxDepth:       f.Config.MaxDepth,
-			MinSamplesLeaf: f.Config.MinSamplesLeaf,
-			MaxFeatures:    f.Config.MaxFeatures,
-			Seed:           f.Config.Seed,
-		},
-		Importances: append([]float64(nil), f.importances...),
-	}
-	for _, t := range f.trees {
-		m.TreeConfigs = append(m.TreeConfigs, t.Config)
-		m.TreeImportances = append(m.TreeImportances, append([]float64(nil), t.importances...))
-	}
-	return m, nil
-}
-
-// LoadFlat reconstructs a servable model from its flat form without
-// building pointer trees and — for ensembles — without re-compiling:
-// the given node table becomes the model's kernel table as-is, after a
-// strict structural validation. The model predicts bit-for-bit what
-// the dumped model did, and its Dump output reproduces the JSON form
-// the model would have dumped before flattening.
+// LoadFlat reconstructs a servable ensemble from its flat form without
+// building pointer trees and without re-compiling: the given node
+// table becomes the model's kernel table as-is, after a strict
+// structural validation. The model predicts bit-for-bit what the dumped
+// model did.
 func LoadFlat(f *FlatModel, opt LoadOptions) (Regressor, error) {
 	if f == nil {
 		return nil, badModel("nil flat model")
 	}
-	if err := validateFlatMeta(&f.Meta, len(f.Roots)); err != nil {
+	if err := validateFlatMeta(&f.Meta); err != nil {
 		return nil, err
 	}
 	if err := validateNodeTable(f.Nodes, f.Roots, f.Depth); err != nil {
 		return nil, err
 	}
 	meta := f.Meta
+	tab := nodeTable{nodes: f.Nodes, roots: f.Roots, depth: f.Depth}
 	switch meta.Kind {
 	case "GBR":
 		p := meta.GBR
@@ -280,16 +265,10 @@ func LoadFlat(f *FlatModel, opt LoadOptions) (Regressor, error) {
 		})
 		g.base = meta.Base
 		g.importances = append([]float64(nil), meta.Importances...)
-		g.flatMeta = &meta
 		g.fitted = true
-		g.compiled = &CompiledGBR{
-			tab:     nodeTable{nodes: f.Nodes, roots: f.Roots, depth: f.Depth},
-			base:    meta.Base,
-			lr:      p.LearningRate,
-			Workers: opt.Workers,
-		}
+		g.compiled = &CompiledGBR{tab: tab, base: meta.Base, lr: p.LearningRate, Workers: opt.Workers}
 		return g, nil
-	case "RFR":
+	default: // "RFR", enforced by validateFlatMeta
 		p := meta.Forest
 		rf := NewRandomForest(ForestConfig{
 			NumTrees:       p.NumTrees,
@@ -300,33 +279,14 @@ func LoadFlat(f *FlatModel, opt LoadOptions) (Regressor, error) {
 			Workers:        opt.Workers,
 		})
 		rf.importances = append([]float64(nil), meta.Importances...)
-		rf.flatMeta = &meta
 		rf.fitted = true
-		rf.compiled = &CompiledForest{
-			tab:     nodeTable{nodes: f.Nodes, roots: f.Roots, depth: f.Depth},
-			Workers: opt.Workers,
-		}
+		rf.compiled = &CompiledForest{tab: tab, Workers: opt.Workers}
 		return rf, nil
-	default: // "DTR", enforced by validateFlatMeta
-		// A single tree reuses the JSON loader: decompile the (single)
-		// table range to the canonical preorder dump and load that. Trees
-		// are tiny and never the pipeline's selected model, so the extra
-		// O(n) compile is irrelevant.
-		nodes, err := decompileRange(f.Nodes, 0, int32(len(f.Nodes)))
-		if err != nil {
-			return nil, err
-		}
-		return LoadTree(&TreeDump{
-			Config:      meta.TreeConfigs[0],
-			Nodes:       nodes,
-			Importances: append([]float64(nil), meta.TreeImportances[0]...),
-		})
 	}
 }
 
-// validateFlatMeta checks the metadata's internal consistency for a
-// table of treeCount trees.
-func validateFlatMeta(m *FlatMeta, treeCount int) error {
+// validateFlatMeta checks the metadata's internal consistency.
+func validateFlatMeta(m *FlatMeta) error {
 	switch m.Kind {
 	case "GBR":
 		if m.GBR == nil || m.Forest != nil {
@@ -345,34 +305,12 @@ func validateFlatMeta(m *FlatMeta, treeCount int) error {
 		if m.Base != 0 {
 			return badModel("flat forest carries a base prediction")
 		}
-	case "DTR":
-		if m.GBR != nil || m.Forest != nil {
-			return badModel("flat tree metadata carries ensemble params")
-		}
-		if m.Base != 0 {
-			return badModel("flat tree carries a base prediction")
-		}
 	default:
 		return badModel("flat model kind %q unknown", m.Kind)
 	}
-	if treeCount == 0 {
-		return badModel("flat model has no trees")
-	}
-	if len(m.TreeConfigs) != treeCount {
-		return badModel("flat model has %d tree configs for %d trees", len(m.TreeConfigs), treeCount)
-	}
-	if len(m.TreeImportances) != 0 && len(m.TreeImportances) != treeCount {
-		return badModel("flat model has %d tree importance vectors for %d trees", len(m.TreeImportances), treeCount)
-	}
-	if m.Kind == "DTR" && (treeCount != 1 || len(m.TreeImportances) != 1) {
-		return badModel("flat tree must carry exactly one tree")
-	}
-	if err := checkImportances(m.Importances); err != nil {
-		return err
-	}
-	for _, im := range m.TreeImportances {
-		if err := checkImportances(im); err != nil {
-			return err
+	for i, v := range m.Importances {
+		if !isFinite(v) || v < 0 {
+			return badModel("importance %d is %v, want finite non-negative", i, v)
 		}
 	}
 	return nil
@@ -461,65 +399,10 @@ func validateNodeTable(nodes []NodeRec, roots, depth []int32) error {
 	return nil
 }
 
-// decompileRange re-emits the canonical preorder node list for the
-// tree occupying table slots [lo, hi). Because fitted trees are dumped
-// in preorder and compiled tables preserve dump indices, this
-// reproduces the exact node list the tree was flattened from — which
-// is what keeps binary→json conversion byte-identical. The range must
-// have passed validateNodeTable (the recursion is bounded by the
-// validated tree height).
-func decompileRange(nodes []NodeRec, lo, hi int32) ([]NodeDump, error) {
-	if lo < 0 || hi > int32(len(nodes)) || lo >= hi {
-		return nil, badModel("decompile range [%d,%d) out of bounds", lo, hi)
-	}
-	out := make([]NodeDump, 0, hi-lo)
-	var rec func(abs int32) int
-	rec = func(abs int32) int {
-		idx := len(out)
-		out = append(out, NodeDump{})
-		nd := nodes[abs]
-		if math.IsInf(nd.Thresh, 1) {
-			out[idx] = NodeDump{Value: nd.Pred, Leaf: true}
-			return idx
-		}
-		l := rec(nd.Left)
-		r := rec(nd.Left + 1)
-		out[idx] = NodeDump{Feature: int(nd.Feature), Threshold: nd.Thresh, Left: l, Right: r}
-		return idx
-	}
-	rec(lo)
-	if int32(len(out)) != hi-lo {
-		return nil, badModel("decompile visited %d of %d nodes", len(out), hi-lo)
-	}
-	return out, nil
+func badModel(format string, args ...any) error {
+	return merr.Errorf(merr.ErrBadArtifact, "ml: "+format, args...)
 }
 
-// treeDumpsFromTable decompiles every tree of a kernel table back to
-// its TreeDump, re-attaching the per-tree configs and importances the
-// flat metadata retained. This is the Dump path of flat-restored
-// ensembles (trees == nil).
-func treeDumpsFromTable(tab *nodeTable, meta *FlatMeta) ([]TreeDump, error) {
-	if meta == nil {
-		return nil, badModel("flat-restored model lost its metadata")
-	}
-	if len(meta.TreeConfigs) != len(tab.roots) {
-		return nil, badModel("flat metadata has %d tree configs for %d trees", len(meta.TreeConfigs), len(tab.roots))
-	}
-	dumps := make([]TreeDump, len(tab.roots))
-	for k := range tab.roots {
-		lo := tab.roots[k]
-		hi := int32(len(tab.nodes))
-		if k+1 < len(tab.roots) {
-			hi = tab.roots[k+1]
-		}
-		nodes, err := decompileRange(tab.nodes, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		dumps[k] = TreeDump{Config: meta.TreeConfigs[k], Nodes: nodes}
-		if k < len(meta.TreeImportances) {
-			dumps[k].Importances = append([]float64(nil), meta.TreeImportances[k]...)
-		}
-	}
-	return dumps, nil
+func isFinite(v float64) bool {
+	return !math.IsNaN(v) && !math.IsInf(v, 0)
 }

@@ -4,10 +4,51 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"merchandiser/internal/merr"
+	"merchandiser/internal/obs"
 )
+
+// serializeTrainingSet builds a deterministic nonlinear regression set
+// large enough that fitted trees have real structure.
+func serializeTrainingSet(n, d int, seed int64) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	X := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range X {
+		row := make([]float64, d)
+		for j := range row {
+			row[j] = rng.Float64() * 10
+		}
+		X[i] = row
+		y[i] = math.Sin(row[0]) + 0.5*row[1] + row[0]*row[2]/10 + rng.NormFloat64()*0.1
+	}
+	return X, y
+}
+
+func assertBitEqualPredictions(t *testing.T, want, got Regressor, X [][]float64) {
+	t.Helper()
+	for i, x := range X {
+		w, g := want.Predict(x), got.Predict(x)
+		if math.Float64bits(w) != math.Float64bits(g) {
+			t.Fatalf("row %d: predictions differ: %v vs %v", i, w, g)
+		}
+	}
+	wb, _ := want.(BatchRegressor)
+	gb, _ := got.(BatchRegressor)
+	if wb == nil || gb == nil {
+		return
+	}
+	wAll, gAll := wb.PredictAll(X), gb.PredictAll(X)
+	for i := range wAll {
+		if math.Float64bits(wAll[i]) != math.Float64bits(gAll[i]) {
+			t.Fatalf("batch row %d: predictions differ: %v vs %v", i, wAll[i], gAll[i])
+		}
+	}
+}
 
 // cloneFlat deep-copies a flat model so tests can corrupt the copy
 // without touching the live model's kernel table (DumpFlat aliases it).
@@ -18,7 +59,49 @@ func cloneFlat(f *FlatModel) *FlatModel {
 		Depth: append([]int32(nil), f.Depth...),
 		Meta:  f.Meta,
 	}
+	c.Meta.Importances = append([]float64(nil), f.Meta.Importances...)
+	if p := f.Meta.GBR; p != nil {
+		cp := *p
+		c.Meta.GBR = &cp
+	}
+	if p := f.Meta.Forest; p != nil {
+		cp := *p
+		c.Meta.Forest = &cp
+	}
 	return c
+}
+
+// wireRoundTrip pushes a flat model through its persisted encodings,
+// like the artifact store does: the node table as wire records, the
+// metadata as JSON.
+func wireRoundTrip(t *testing.T, f *FlatModel) *FlatModel {
+	t.Helper()
+	recs, err := NodeRecsFromBytes(AppendNodeRecs(nil, f.Nodes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(&f.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &FlatModel{
+		Nodes: recs,
+		Roots: append([]int32(nil), f.Roots...),
+		Depth: append([]int32(nil), f.Depth...),
+	}
+	if err := json.Unmarshal(raw, &out.Meta); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// assertSameFlat requires two flat models to be identical: node
+// records, roots, depths and metadata.
+func assertSameFlat(t *testing.T, want, got *FlatModel) {
+	t.Helper()
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("flat models differ (nodes, roots, depths or metadata)")
+	}
 }
 
 func fitFlatGBR(t *testing.T) (*GradientBoosted, [][]float64) {
@@ -31,89 +114,254 @@ func fitFlatGBR(t *testing.T) (*GradientBoosted, [][]float64) {
 	return g, X
 }
 
+func fitFlatForest(t *testing.T) (*RandomForest, [][]float64) {
+	t.Helper()
+	X, y := serializeTrainingSet(250, 4, 21)
+	f := NewRandomForest(ForestConfig{NumTrees: 7, MaxDepth: 6, Seed: 5})
+	if err := f.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	return f, X
+}
+
+func TestGBRDumpRoundTripNoRefit(t *testing.T) {
+	X, y := serializeTrainingSet(300, 5, 3)
+	g := NewGradientBoosted(GBRConfig{NumStages: 30, MaxDepth: 3, Subsample: 0.8, Seed: 11})
+	if err := g.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	fm, err := DumpFlat(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	loaded, err := LoadFlat(wireRoundTrip(t, fm), LoadOptions{Workers: 2, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, _ := serializeTrainingSet(150, 5, 4)
+	assertBitEqualPredictions(t, g, loaded, probe)
+	if got := reg.Counter("ml.gbr.fits").Value(); got != 0 {
+		t.Fatalf("loading recorded %v fits, want 0", got)
+	}
+	if got := reg.Counter("ml.gbr.predictions").Value(); got == 0 {
+		t.Fatal("loaded model's predictions not observed through the attached registry")
+	}
+}
+
+func TestForestDumpRoundTrip(t *testing.T) {
+	f, _ := fitFlatForest(t)
+	fm, err := DumpFlat(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadFlat(wireRoundTrip(t, fm), LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, _ := serializeTrainingSet(120, 4, 6)
+	assertBitEqualPredictions(t, f, loaded, probe)
+}
+
+// TestDumpModelTaggedUnion: the flat metadata names the model kind and
+// carries exactly that kind's hyperparameters, and loading dispatches
+// on it.
+func TestDumpModelTaggedUnion(t *testing.T) {
+	g, _ := fitFlatGBR(t)
+	f, _ := fitFlatForest(t)
+	for _, m := range []Regressor{g, f} {
+		fm, err := DumpFlat(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta := fm.Meta
+		if meta.Kind != m.Name() || (meta.GBR != nil) == (meta.Forest != nil) || (meta.GBR != nil) != (m.Name() == "GBR") {
+			t.Fatalf("unexpected union shape for %s: %+v", m.Name(), meta)
+		}
+		loaded, err := LoadFlat(wireRoundTrip(t, fm), LoadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.Name() != m.Name() {
+			t.Fatalf("loaded model is %s, want %s", loaded.Name(), m.Name())
+		}
+	}
+}
+
+func TestDumpUnfittedFails(t *testing.T) {
+	if _, err := DumpFlat(NewGradientBoosted(GBRConfig{})); !errors.Is(err, merr.ErrUntrained) {
+		t.Fatalf("gbr dump: %v, want ErrUntrained", err)
+	}
+	if _, err := DumpFlat(NewRandomForest(ForestConfig{})); !errors.Is(err, merr.ErrUntrained) {
+		t.Fatalf("forest dump: %v, want ErrUntrained", err)
+	}
+}
+
+// TestDumpModelUnsupported: only the ensembles persist. A lone tree is
+// rejected like the models the pipeline never selects.
+func TestDumpModelUnsupported(t *testing.T) {
+	if _, err := DumpFlat(NewKNN(KNNConfig{})); err == nil {
+		t.Fatal("expected error dumping a non-serializable model")
+	}
+	X, y := serializeTrainingSet(200, 4, 31)
+	tr := NewDecisionTree(TreeConfig{MaxDepth: 6, Seed: 9})
+	if err := tr.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DumpFlat(tr); err == nil {
+		t.Fatal("a lone tree has no flat form, but DumpFlat accepted it")
+	}
+}
+
+func TestCompileDumpRejectsMalformedDumps(t *testing.T) {
+	valid := func() []NodeDump {
+		return []NodeDump{
+			{Feature: 0, Threshold: 1, Left: 1, Right: 2},
+			{Value: -1, Leaf: true},
+			{Value: 1, Leaf: true},
+		}
+	}
+	cases := []struct {
+		name   string
+		mutate func([]NodeDump) []NodeDump
+	}{
+		{"empty", func(d []NodeDump) []NodeDump { return nil }},
+		{"out of range child", func(d []NodeDump) []NodeDump { d[0].Right = 9; return d }},
+		{"negative child", func(d []NodeDump) []NodeDump { d[0].Left = -1; return d }},
+		{"self cycle", func(d []NodeDump) []NodeDump { d[0].Left = 0; return d }},
+		{"shared subtree", func(d []NodeDump) []NodeDump { d[0].Right = 1; return d }},
+		{"unreachable node", func(d []NodeDump) []NodeDump { return append(d, NodeDump{Value: 3, Leaf: true}) }},
+		{"nan threshold", func(d []NodeDump) []NodeDump { d[0].Threshold = math.NaN(); return d }},
+		{"inf leaf", func(d []NodeDump) []NodeDump { d[1].Value = math.Inf(1); return d }},
+		{"negative feature", func(d []NodeDump) []NodeDump { d[0].Feature = -2; return d }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := compileDump(tc.mutate(valid())); !errors.Is(err, merr.ErrBadArtifact) {
+				t.Fatalf("got %v, want ErrBadArtifact", err)
+			}
+		})
+	}
+	if _, err := compileDump(valid()); err != nil {
+		t.Fatalf("baseline dump rejected: %v", err)
+	}
+}
+
+// TestLoadFlatRejectsBadUnions: the metadata must name a known kind
+// and carry exactly that kind's parameters, over a non-empty table.
+func TestLoadFlatRejectsBadUnions(t *testing.T) {
+	leaf := []NodeRec{{Thresh: math.Inf(1), Pred: 1}}
+	one := func(meta FlatMeta) *FlatModel {
+		return &FlatModel{Nodes: leaf, Roots: []int32{0}, Depth: []int32{0}, Meta: meta}
+	}
+	gbr := &GBRParams{NumStages: 1, LearningRate: 0.1, MaxDepth: 1, Subsample: 1}
+	forest := &ForestParams{NumTrees: 1, MaxDepth: 1}
+	cases := []struct {
+		name string
+		flat *FlatModel
+	}{
+		{"nil", nil},
+		{"no payload", one(FlatMeta{Kind: "GBR"})},
+		{"two payloads", one(FlatMeta{Kind: "GBR", GBR: gbr, Forest: forest})},
+		{"kind mismatch", one(FlatMeta{Kind: "GBR", Forest: forest})},
+		{"empty gbr", &FlatModel{Meta: FlatMeta{Kind: "GBR", GBR: gbr}}},
+		{"empty forest", &FlatModel{Meta: FlatMeta{Kind: "RFR", Forest: forest}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := LoadFlat(tc.flat, LoadOptions{}); !errors.Is(err, merr.ErrBadArtifact) {
+				t.Fatalf("got %v, want ErrBadArtifact", err)
+			}
+		})
+	}
+	for _, meta := range []FlatMeta{{Kind: "GBR", GBR: gbr}, {Kind: "RFR", Forest: forest}} {
+		if _, err := LoadFlat(one(meta), LoadOptions{}); err != nil {
+			t.Fatalf("well-formed %s union rejected: %v", meta.Kind, err)
+		}
+	}
+}
+
+// TestLoadGBRRejectsBadLearningRate: a GBR's learning rate scales
+// every tree's output, so loading refuses any rate that is not finite
+// and positive, even over an otherwise well-formed one-leaf table.
+func TestLoadGBRRejectsBadLearningRate(t *testing.T) {
+	for _, lr := range []float64{0, -0.1, math.NaN(), math.Inf(1)} {
+		flat := &FlatModel{
+			Nodes: []NodeRec{{Thresh: math.Inf(1), Pred: 1}},
+			Roots: []int32{0},
+			Depth: []int32{0},
+			Meta:  FlatMeta{Kind: "GBR", GBR: &GBRParams{NumStages: 1, LearningRate: lr, MaxDepth: 1, Subsample: 1}},
+		}
+		if _, err := LoadFlat(flat, LoadOptions{}); !errors.Is(err, merr.ErrBadArtifact) {
+			t.Fatalf("learning rate %v: got %v, want ErrBadArtifact", lr, err)
+		}
+	}
+}
+
 func TestFlatRoundTripGBR(t *testing.T) {
 	g, X := fitFlatGBR(t)
 	fm, err := DumpFlat(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := cloneFlat(fm)
 	loaded, err := LoadFlat(cloneFlat(fm), LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertBitEqualPredictions(t, g, loaded, X)
 
-	// The flat-restored model (which has no pointer trees) must dump the
-	// exact JSON the original dumps — that is what makes binary→json
-	// conversion byte-identical.
-	want, err := DumpModel(g)
+	// Flattening the flat-restored model (which has no pointer trees)
+	// reproduces the flat form exactly — metadata included, rebuilt from
+	// the loaded config — which keeps re-snapshots byte-identical.
+	again, err := DumpFlat(loaded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DumpModel(loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb, _ := json.Marshal(want)
-	gb, _ := json.Marshal(got)
-	if string(wb) != string(gb) {
-		t.Fatal("flat-restored GBR dumps different JSON than the original")
-	}
-
-	// And flattening the flat-restored model reproduces the flat form.
-	fm2, err := DumpFlat(loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fm2.Nodes) != len(fm.Nodes) || len(fm2.Roots) != len(fm.Roots) {
-		t.Fatal("re-flattened model changed shape")
-	}
-	for i := range fm.Nodes {
-		if fm.Nodes[i] != fm2.Nodes[i] {
-			t.Fatalf("node %d changed across flat round trip", i)
-		}
-	}
+	assertSameFlat(t, want, again)
 }
 
 func TestFlatRoundTripForest(t *testing.T) {
-	X, y := serializeTrainingSet(250, 4, 21)
-	f := NewRandomForest(ForestConfig{NumTrees: 7, MaxDepth: 6, Seed: 5})
-	if err := f.Fit(X, y); err != nil {
-		t.Fatal(err)
-	}
+	f, X := fitFlatForest(t)
 	fm, err := DumpFlat(f)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := cloneFlat(fm)
 	loaded, err := LoadFlat(cloneFlat(fm), LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertBitEqualPredictions(t, f, loaded, X)
-	want, _ := DumpModel(f)
-	got, _ := DumpModel(loaded)
-	wb, _ := json.Marshal(want)
-	gb, _ := json.Marshal(got)
-	if string(wb) != string(gb) {
-		t.Fatal("flat-restored forest dumps different JSON than the original")
+	again, err := DumpFlat(loaded)
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertSameFlat(t, want, again)
 }
 
+// TestFlatRoundTripTree: a fitted tree's compiled table, laid out in
+// the kernel's breadth-first form, passes the validator LoadFlat runs
+// and walks to the pointer tree's exact leaf values.
 func TestFlatRoundTripTree(t *testing.T) {
 	X, y := serializeTrainingSet(200, 4, 31)
-	tr := NewDecisionTree(TreeConfig{MaxDepth: 6, Seed: 9})
-	if err := tr.Fit(X, y); err != nil {
-		t.Fatal(err)
+	for _, depth := range []int{1, 3, 6, 9} {
+		tr := NewDecisionTree(TreeConfig{MaxDepth: depth, Seed: int64(depth)})
+		if err := tr.Fit(X, y); err != nil {
+			t.Fatal(err)
+		}
+		var nt nodeTable
+		nt.appendTree(tr.flat)
+		if err := validateNodeTable(nt.nodes, nt.roots, nt.depth); err != nil {
+			t.Fatalf("depth %d: fitted tree's table rejected: %v", depth, err)
+		}
+		for i, x := range X {
+			w, g := tr.root.predict(x), nt.walk(nt.roots[0], nt.depth[0], x)
+			if math.Float64bits(w) != math.Float64bits(g) {
+				t.Fatalf("depth %d row %d: table walk %v, pointer walk %v", depth, i, g, w)
+			}
+		}
 	}
-	fm, err := DumpFlat(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadFlat(cloneFlat(fm), LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitEqualPredictions(t, tr, loaded, X)
 }
 
 func TestDumpFlatUnfitted(t *testing.T) {
@@ -202,23 +450,16 @@ func TestLoadFlatRejectsCorruptTables(t *testing.T) {
 		{"internal huge feature", func(f *FlatModel) { f.Nodes[internal].Feature = maxFeatureIndex + 1 }},
 		{"internal stray prediction", func(f *FlatModel) { f.Nodes[internal].Pred = 1 }},
 		{"broken bfs child", func(f *FlatModel) { f.Nodes[internal].Left++ }},
-		{"tree config count", func(f *FlatModel) { f.Meta.TreeConfigs = f.Meta.TreeConfigs[:1] }},
 		{"unknown kind", func(f *FlatModel) { f.Meta.Kind = "XGB" }},
 		{"wrong params", func(f *FlatModel) { f.Meta.GBR = nil; f.Meta.Forest = &ForestParams{} }},
 		{"bad learning rate", func(f *FlatModel) { f.Meta.GBR.LearningRate = 0 }},
 		{"nan base", func(f *FlatModel) { f.Meta.Base = math.NaN() }},
 		{"negative importance", func(f *FlatModel) { f.Meta.Importances[0] = -1 }},
+		{"bad importance", func(f *FlatModel) { f.Meta.Importances[0] = math.NaN() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := cloneFlat(good)
-			// Deep-copy meta sub-slices the mutations touch.
-			bad.Meta.TreeConfigs = append([]TreeConfig(nil), good.Meta.TreeConfigs...)
-			bad.Meta.Importances = append([]float64(nil), good.Meta.Importances...)
-			if good.Meta.GBR != nil {
-				p := *good.Meta.GBR
-				bad.Meta.GBR = &p
-			}
 			tc.mutate(bad)
 			if _, err := LoadFlat(bad, LoadOptions{}); !errors.Is(err, merr.ErrBadArtifact) {
 				t.Fatalf("corrupt table accepted: %v", err)
@@ -234,10 +475,10 @@ func TestLoadFlatRejectsCorruptTables(t *testing.T) {
 }
 
 // TestFlatLoadedModelRefits proves Fit on a flat-restored model fully
-// resets it: the retained restore metadata is dropped so the next dump
-// reflects the new fit, not the stale restore.
+// resets it: the next flat dump is exactly a fresh fit's, with nothing
+// left over from the restore.
 func TestFlatLoadedModelRefits(t *testing.T) {
-	g, X := fitFlatGBR(t)
+	g, _ := fitFlatGBR(t)
 	fm, err := DumpFlat(g)
 	if err != nil {
 		t.Fatal(err)
@@ -246,16 +487,21 @@ func TestFlatLoadedModelRefits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg := loaded.(*GradientBoosted)
 	X2, y2 := serializeTrainingSet(150, 5, 99)
-	if err := lg.Fit(X2, y2); err != nil {
+	if err := loaded.Fit(X2, y2); err != nil {
 		t.Fatal(err)
 	}
-	if lg.flatMeta != nil {
-		t.Fatal("refit did not drop the retained flat metadata")
-	}
-	if _, err := DumpModel(lg); err != nil {
+	fresh := NewGradientBoosted(g.Config)
+	if err := fresh.Fit(X2, y2); err != nil {
 		t.Fatal(err)
 	}
-	_ = X
+	got, err := DumpFlat(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DumpFlat(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameFlat(t, want, got)
 }

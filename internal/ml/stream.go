@@ -343,7 +343,6 @@ func (g *GradientBoosted) FitPaced(ctx context.Context, feed *Feed, pc PaceConfi
 		}
 	}
 	g.fitted = true
-	g.flatMeta = nil
 	compiled, err := compileGBR(g.base, g.Config.LearningRate, g.trees, g.Config.Workers)
 	if err != nil {
 		g.fitted = false

@@ -116,11 +116,11 @@ func TestFitPacedUnpacedMatchesFit(t *testing.T) {
 	if err := paced.FitPaced(context.Background(), feed, PaceConfig{Groups: 8, Ramp: -1}); err != nil {
 		t.Fatal(err)
 	}
-	refDump, err := ref.Dump()
+	refDump, err := DumpFlat(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pacedDump, err := paced.Dump()
+	pacedDump, err := DumpFlat(paced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestFitPacedDeterministicAcrossTimingAndWorkers(t *testing.T) {
 	}
 	pace := PaceConfig{Groups: 10, MinRows: 1}
 
-	fitInstant := func(workers int) *GBRDump {
+	fitInstant := func(workers int) *FlatModel {
 		feed := NewFeed()
 		pushAll(t, feed, X, y)
 		feed.Close(nil)
@@ -147,13 +147,13 @@ func TestFitPacedDeterministicAcrossTimingAndWorkers(t *testing.T) {
 		if err := g.FitPaced(context.Background(), feed, pace); err != nil {
 			t.Fatal(err)
 		}
-		d, err := g.Dump()
+		d, err := DumpFlat(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return d
 	}
-	fitTrickle := func() *GBRDump {
+	fitTrickle := func() *FlatModel {
 		feed := NewFeed()
 		go func() {
 			for g := range X {
@@ -169,7 +169,7 @@ func TestFitPacedDeterministicAcrossTimingAndWorkers(t *testing.T) {
 		if err := g.FitPaced(context.Background(), feed, pace); err != nil {
 			t.Fatal(err)
 		}
-		d, err := g.Dump()
+		d, err := DumpFlat(g)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,10 +43,10 @@ type DecisionTree struct {
 	Config TreeConfig
 
 	// root is the pointer tree built by Fit; it is the construction-time
-	// and reference representation (nil for trees restored from a dump).
+	// and reference representation.
 	root *treeNode
 	// flat is the compiled node table every prediction goes through; it
-	// exists for every fitted tree, whether fitted in-process or loaded.
+	// exists for every fitted tree.
 	flat        *CompiledTree
 	importances []float64
 	rng         *rand.Rand
@@ -83,8 +83,8 @@ func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
 			t.importances[i] /= sum
 		}
 	}
-	// Lower the pointer tree into the flat node table through the same
-	// preorder flattening the serializer uses; from here on every
+	// Lower the pointer tree into the flat node table through its
+	// preorder flattening; from here on every
 	// prediction walks the compiled layout (bit-identical by
 	// construction — same comparisons, same order).
 	var nodes []NodeDump

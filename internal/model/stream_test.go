@@ -15,8 +15,8 @@ import (
 
 // streamTrain runs the full streamed training pipeline — BuildStream
 // feeding TrainCorrelationStream — at the given worker count and
-// returns the result plus the fitted model's serialized form.
-func streamTrain(t *testing.T, workers int) (*TrainResult, []corpus.Sample, *ml.GBRDump) {
+// returns the result plus the fitted model's flat form.
+func streamTrain(t *testing.T, workers int) (*TrainResult, []corpus.Sample, *ml.FlatModel) {
 	t.Helper()
 	regions := corpus.StandardCorpus(40, 3)
 	stream := corpus.BuildStream(context.Background(), regions, smallSpec(),
@@ -27,7 +27,7 @@ func streamTrain(t *testing.T, workers int) (*TrainResult, []corpus.Sample, *ml.
 	if err != nil {
 		t.Fatal(err)
 	}
-	dump, err := gbr.Dump()
+	dump, err := ml.DumpFlat(gbr)
 	if err != nil {
 		t.Fatal(err)
 	}

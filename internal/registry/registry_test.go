@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -227,6 +228,35 @@ func TestConcurrentPublishPromote(t *testing.T) {
 					t.Fatalf("resolved a half-published version %s: %v", cur.Version, verr)
 				}
 			}
+		}
+	}
+}
+
+// TestPublishRejectsOtherVersions: an artifact written under another
+// store version — such as one from before the binary-only bump — never
+// lands in the registry.
+func TestPublishRejectsOtherVersions(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(filepath.Join(dir, "reg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(writeArtifact(t, dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	marker := func(v int) []byte { return []byte(fmt.Sprintf(`{"version":%d`, v)) }
+	for _, v := range []int{store.Version - 1, store.Version + 1} {
+		old := bytes.Replace(good, marker(store.Version), marker(v), 1)
+		if bytes.Equal(old, good) {
+			t.Fatal("version marker not found")
+		}
+		path := filepath.Join(dir, fmt.Sprintf("v%d.merch", v))
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Publish(fmt.Sprintf("old%d", v), path); !errors.Is(err, merr.ErrBadArtifact) {
+			t.Fatalf("version %d artifact: got %v, want ErrBadArtifact", v, err)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func saveVersionedArtifact(t testing.TB, dir string, seq int) string {
 	}
 	sys.Meta.Seed = int64(seq)
 	path := filepath.Join(dir, fmt.Sprintf("sys-%d.merch", seq))
-	if err := sys.SaveFileFormat(path, merchandiser.SaveJSON); err != nil {
+	if err := sys.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -49,8 +49,9 @@ import (
 const SlotMagic = "MRCHSLOT"
 
 // SlotVersion is the slot schema version this package writes and the
-// only one it accepts.
-const SlotVersion = 1
+// only one it accepts. Version 2 dropped the per-tree configs and
+// importances from the node section's metadata tail.
+const SlotVersion = 2
 
 // slotHeaderBytes and slotAlign fix the header size and the alignment
 // quantum; slotChecksumBytes is the trailing SHA-256.
@@ -74,8 +75,8 @@ const (
 )
 
 // Binary model section names. They travel inside the ordinary artifact
-// container next to the JSON sections; the ".bin" suffix is
-// informational — sniffing uses the payload magic, not the name.
+// container next to the JSON sections and are the only way a
+// checkpoint carries its model.
 const (
 	SectionModelNodes = "model.nodes.bin"
 	SectionModelTrees = "model.trees.bin"
@@ -135,8 +136,7 @@ func EncodeSlotSection(s *SlotSection) ([]byte, error) {
 	return out, nil
 }
 
-// IsSlotSection reports whether data begins with the slot magic — the
-// per-section encoding sniff restore paths use to pick the decoder.
+// IsSlotSection reports whether data begins with the slot magic.
 func IsSlotSection(data []byte) bool {
 	return len(data) >= len(SlotMagic) && string(data[:len(SlotMagic)]) == SlotMagic
 }
@@ -205,8 +205,7 @@ func DecodeSlotSection(data []byte) (*SlotSection, error) {
 
 // SetModelFlat stores a flat model as the two binary slot sections:
 // the kernel node table (with the model metadata as the JSON tail) and
-// the per-tree root/depth index. The system section's Model field stays
-// untouched — callers decide whether to also keep the JSON form.
+// the per-tree root/depth index.
 func (a *Artifact) SetModelFlat(f *ml.FlatModel) error {
 	if f == nil {
 		return badf("nil flat model")
@@ -251,8 +250,7 @@ func (a *Artifact) SetModelFlat(f *ml.FlatModel) error {
 }
 
 // HasBinaryModel reports whether the artifact carries the binary model
-// sections (restore paths prefer them over the JSON model when both
-// are present).
+// sections.
 func (a *Artifact) HasBinaryModel() bool {
 	return a.Has(SectionModelNodes) && a.Has(SectionModelTrees)
 }
@@ -323,106 +321,4 @@ func (a *Artifact) slot(name string, kind, recordSize uint32) (*SlotSection, err
 		return nil, badf("section %q has record size %d, want %d", name, s.RecordSize, recordSize)
 	}
 	return s, nil
-}
-
-// Format selects how a System checkpoint persists its model.
-type Format string
-
-const (
-	// FormatJSON is the portable interchange form: the model travels as
-	// the JSON ModelDump inside the system section.
-	FormatJSON Format = "json"
-	// FormatBinary persists the compiled node table as slot sections and
-	// drops the JSON model: restore is a contiguous read, no JSON decode
-	// of node arrays, no re-compile.
-	FormatBinary Format = "binary"
-	// FormatBoth carries both encodings in one container; restore
-	// prefers the binary sections.
-	FormatBoth Format = "both"
-)
-
-// ParseFormat validates a format name (e.g. a -save-format flag value).
-func ParseFormat(s string) (Format, error) {
-	switch Format(s) {
-	case FormatJSON, FormatBinary, FormatBoth:
-		return Format(s), nil
-	default:
-		return "", fmt.Errorf("store: unknown artifact format %q (want json, binary or both)", s)
-	}
-}
-
-// ConvertSystemFormat re-encodes a System checkpoint's model into the
-// target format, preserving the container metadata and every
-// non-model section. Converting a model-free checkpoint is the
-// identity. json→binary→json is byte-stable: the binary form retains
-// exactly the metadata needed to decompile back to the original JSON
-// dump.
-func ConvertSystemFormat(a *Artifact, f Format) (*Artifact, error) {
-	if _, err := ParseFormat(string(f)); err != nil {
-		return nil, badWrap("convert", err)
-	}
-	st, err := a.System()
-	if err != nil {
-		return nil, err
-	}
-	out := &Artifact{Tool: a.Tool, Created: a.Created}
-	for _, name := range a.Names() {
-		if name == SectionSystem || name == SectionModelNodes || name == SectionModelTrees {
-			continue
-		}
-		data, _ := a.Get(name)
-		out.Set(name, data)
-	}
-	// Materialize the model from whichever encoding the source carries
-	// (binary wins when both are present — it is the compiled truth).
-	var fm *ml.FlatModel
-	switch {
-	case a.HasBinaryModel():
-		fm, err = a.ModelFlat()
-		if err != nil {
-			return nil, err
-		}
-	case st.Model != nil:
-		m, err := ml.LoadModel(st.Model, ml.LoadOptions{Workers: 1})
-		if err != nil {
-			return nil, err
-		}
-		fm, err = ml.DumpFlat(m)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if fm == nil { // model-free checkpoint: every format is the same
-		st.Model = nil
-		if err := out.SetSystem(st); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	if f == FormatBinary || f == FormatBoth {
-		if err := out.SetModelFlat(fm); err != nil {
-			return nil, err
-		}
-	}
-	if f == FormatJSON || f == FormatBoth {
-		if st.Model == nil {
-			m, err := ml.LoadFlat(fm, ml.LoadOptions{Workers: 1})
-			if err != nil {
-				return nil, err
-			}
-			st.Model, err = ml.DumpModel(m)
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		st.Model = nil
-	}
-	if len(st.Events) == 0 {
-		return nil, badf("system has a model but no event list")
-	}
-	if err := out.SetSystem(st); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -21,7 +21,7 @@ import (
 func FuzzBinaryDecode(f *testing.F) {
 	// Seed with the real binary model sections from the golden fixture
 	// plus targeted corruptions, so the fuzzer starts past the magic.
-	if golden, err := os.ReadFile(goldenBinaryPath); err == nil {
+	if golden, err := os.ReadFile(goldenPath); err == nil {
 		if a, err := Decode(bytes.NewReader(golden)); err == nil {
 			for _, name := range []string{SectionModelNodes, SectionModelTrees} {
 				data, _ := a.Get(name)
@@ -75,9 +75,7 @@ func FuzzBinaryDecode(f *testing.F) {
 			recs, err := ml.NodeRecsFromBytes(s.Records)
 			if err == nil && len(recs) > 0 {
 				fm := &ml.FlatModel{Nodes: recs, Roots: []int32{0}, Depth: []int32{0}}
-				fm.Meta.Kind = "DTR"
-				fm.Meta.TreeConfigs = make([]ml.TreeConfig, 1)
-				fm.Meta.TreeImportances = [][]float64{{}}
+				fm.Meta = ml.FlatMeta{Kind: "RFR", Forest: &ml.ForestParams{NumTrees: 1}}
 				if _, err := ml.LoadFlat(fm, ml.LoadOptions{}); err != nil && !errors.Is(err, merr.ErrBadArtifact) {
 					t.Fatalf("flat load failure %v is not classified", err)
 				}

@@ -5,12 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 
 	"merchandiser/internal/merr"
-	"merchandiser/internal/ml"
-	"merchandiser/internal/pmc"
 )
 
 func testSlotSection() *SlotSection {
@@ -153,19 +150,7 @@ func TestSlotDecodeBoundedAllocation(t *testing.T) {
 }
 
 func TestModelFlatRoundTrip(t *testing.T) {
-	dump := fittedGBRDump(t)
-	orig, err := ml.LoadModel(dump, ml.LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm, err := ml.DumpFlat(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := &Artifact{}
-	if err := a.SetModelFlat(fm); err != nil {
-		t.Fatal(err)
-	}
+	a := modelArtifact(t)
 	if !a.HasBinaryModel() {
 		t.Fatal("binary sections missing after SetModelFlat")
 	}
@@ -177,35 +162,11 @@ func TestModelFlatRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decoded.ModelFlat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ml.LoadFlat(back, ml.LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 50; i++ {
-		x := make([]float64, len(pmc.SelectedEvents)+1)
-		for j := range x {
-			x[j] = rng.Float64()
-		}
-		w, g := orig.Predict(x), loaded.Predict(x)
-		if math.Float64bits(w) != math.Float64bits(g) {
-			t.Fatalf("prediction %d differs through the binary sections: %v vs %v", i, w, g)
-		}
-	}
+	assertPredictsLike(t, fittedGBR(t), loadModel(t, decoded), 17)
 }
 
 func TestModelFlatCrossChecksSections(t *testing.T) {
-	dump := fittedGBRDump(t)
-	m, _ := ml.LoadModel(dump, ml.LoadOptions{})
-	fm, _ := ml.DumpFlat(m)
-	a := &Artifact{}
-	if err := a.SetModelFlat(fm); err != nil {
-		t.Fatal(err)
-	}
+	a := modelArtifact(t)
 
 	t.Run("missing trees section", func(t *testing.T) {
 		b := &Artifact{}
@@ -265,102 +226,4 @@ func TestModelFlatCrossChecksSections(t *testing.T) {
 			t.Fatalf("got %v, want ErrBadArtifact", err)
 		}
 	})
-}
-
-func TestConvertSystemFormat(t *testing.T) {
-	jsonArt := testArtifact(t)
-	jsonBytes := encode(t, jsonArt)
-
-	binArt, err := ConvertSystemFormat(jsonArt, FormatBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !binArt.HasBinaryModel() {
-		t.Fatal("binary conversion has no slot sections")
-	}
-	st, err := binArt.System()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Model != nil {
-		t.Fatal("binary conversion kept the JSON model")
-	}
-	if len(st.Events) == 0 {
-		t.Fatal("binary conversion lost the event list")
-	}
-	if _, err := binArt.Alpha(); err != nil {
-		t.Fatalf("alpha section lost in conversion: %v", err)
-	}
-	if _, err := binArt.Plan(); err != nil {
-		t.Fatalf("plan section lost in conversion: %v", err)
-	}
-
-	// binary→json reproduces the original JSON artifact byte-for-byte.
-	backJSON, err := ConvertSystemFormat(binArt, FormatJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encode(t, backJSON), jsonBytes) {
-		t.Fatal("binary→json conversion is not byte-identical to the original")
-	}
-
-	// json→binary→json→binary is byte-stable.
-	binBytes := encode(t, binArt)
-	binAgain, err := ConvertSystemFormat(backJSON, FormatBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encode(t, binAgain), binBytes) {
-		t.Fatal("binary re-encode is not byte-stable")
-	}
-
-	// both carries both encodings and converts back to either.
-	bothArt, err := ConvertSystemFormat(jsonArt, FormatBoth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bothArt.HasBinaryModel() {
-		t.Fatal("both conversion has no slot sections")
-	}
-	bst, err := bothArt.System()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bst.Model == nil {
-		t.Fatal("both conversion dropped the JSON model")
-	}
-
-	// Model-free checkpoints convert as the identity.
-	bare := &Artifact{Tool: "store_test"}
-	stBare := testSystemState(t)
-	stBare.Model = nil
-	stBare.Events = nil
-	if err := bare.SetSystem(stBare); err != nil {
-		t.Fatal(err)
-	}
-	bareBin, err := ConvertSystemFormat(bare, FormatBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bareBin.HasBinaryModel() {
-		t.Fatal("model-free conversion grew slot sections")
-	}
-	if !bytes.Equal(encode(t, bare), encode(t, bareBin)) {
-		t.Fatal("model-free conversion is not the identity")
-	}
-
-	if _, err := ConvertSystemFormat(jsonArt, Format("yaml")); !errors.Is(err, merr.ErrBadArtifact) {
-		t.Fatalf("unknown format accepted: %v", err)
-	}
-}
-
-func TestParseFormat(t *testing.T) {
-	for _, s := range []string{"json", "binary", "both"} {
-		if _, err := ParseFormat(s); err != nil {
-			t.Fatalf("%q rejected: %v", s, err)
-		}
-	}
-	if _, err := ParseFormat("JSON"); err == nil {
-		t.Fatal("case-mangled format accepted")
-	}
 }

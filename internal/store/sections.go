@@ -4,15 +4,16 @@ import (
 	"math"
 
 	"merchandiser/internal/hm"
-	"merchandiser/internal/ml"
 	"merchandiser/internal/placement"
 )
 
 // Well-known section names. An artifact may carry any subset; a System
 // checkpoint always carries SectionSystem.
 const (
-	// SectionSystem holds a SystemState: platform spec, correlation
-	// function and training provenance.
+	// SectionSystem holds a SystemState: platform spec, the correlation
+	// function's event list and training provenance. The function itself
+	// travels in the binary model sections (SectionModelNodes,
+	// SectionModelTrees).
 	SectionSystem = "system"
 	// SectionAlpha holds an AlphaTable: per-object α values (Equation 1).
 	SectionAlpha = "alpha"
@@ -117,15 +118,14 @@ type TrainMeta struct {
 	Stats *FeatureStats `json:"stats,omitempty"`
 }
 
-// SystemState is the persistable form of a trained System: everything
-// needed to serve predictions without retraining. Model and Events are
-// nil/empty for an untrained (TrainNone) system, whose Equation 2
-// degrades to linear interpolation exactly as it does in-process.
+// SystemState is the persistable form of a trained System apart from
+// its model, which the binary model sections carry. Events is empty for
+// an untrained (TrainNone) system, whose Equation 2 degrades to linear
+// interpolation exactly as it does in-process.
 type SystemState struct {
 	Spec      hm.SystemSpec `json:"spec"`
 	Events    []string      `json:"events,omitempty"`
 	TrainedR2 float64       `json:"trained_r2,omitempty"`
-	Model     *ml.ModelDump `json:"model,omitempty"`
 	Train     TrainMeta     `json:"train"`
 }
 
@@ -142,9 +142,6 @@ func (s *SystemState) Validate() error {
 	if math.IsNaN(s.TrainedR2) || math.IsInf(s.TrainedR2, 0) {
 		return badf("trained R² is non-finite")
 	}
-	if s.Model != nil && len(s.Events) == 0 {
-		return badf("system has a model but no event list")
-	}
 	for i, ev := range s.Events {
 		if ev == "" {
 			return badf("event name %d is empty", i)
@@ -153,9 +150,23 @@ func (s *SystemState) Validate() error {
 	return s.Train.Stats.validate()
 }
 
-// SetSystem validates st and stores it as the system section.
-func (a *Artifact) SetSystem(st *SystemState) error {
+// checkSystem validates st as this artifact's system section: a model
+// in the binary sections needs the event list its features are named
+// by.
+func (a *Artifact) checkSystem(st *SystemState) error {
 	if err := st.Validate(); err != nil {
+		return err
+	}
+	if a.HasBinaryModel() && len(st.Events) == 0 {
+		return badf("system has a model but no event list")
+	}
+	return nil
+}
+
+// SetSystem validates st and stores it as the system section. Store
+// the model sections first: the check covers them.
+func (a *Artifact) SetSystem(st *SystemState) error {
+	if err := a.checkSystem(st); err != nil {
 		return err
 	}
 	return a.SetJSON(SectionSystem, st)
@@ -167,7 +178,7 @@ func (a *Artifact) System() (*SystemState, error) {
 	if err := a.GetJSON(SectionSystem, st); err != nil {
 		return nil, err
 	}
-	if err := st.Validate(); err != nil {
+	if err := a.checkSystem(st); err != nil {
 		return nil, err
 	}
 	return st, nil

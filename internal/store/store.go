@@ -41,8 +41,9 @@ const Magic = "merchandiser-artifact"
 // Version is the schema version this package writes and the only one it
 // accepts. Bump it on any incompatible change to the container layout or
 // a section payload shape; old readers then fail with ErrBadArtifact
-// instead of misreading.
-const Version = 1
+// instead of misreading. Version 2 made the binary slot sections the
+// only model encoding: the system section no longer carries a model.
+const Version = 2
 
 // Decoding limits. They bound what a hostile or corrupted input can make
 // the decoder allocate; real artifacts are far below all of them.

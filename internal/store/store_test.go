@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -18,9 +19,9 @@ import (
 	"merchandiser/internal/pmc"
 )
 
-// fittedGBRDump trains a tiny GBR on deterministic synthetic data and
-// dumps it — the model payload used across these tests.
-func fittedGBRDump(t *testing.T) *ml.ModelDump {
+// fittedGBR trains a tiny GBR on deterministic synthetic data — the
+// model payload used across these tests.
+func fittedGBR(t *testing.T) *ml.GradientBoosted {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	n, d := 80, len(pmc.SelectedEvents)+1
@@ -38,11 +39,58 @@ func fittedGBRDump(t *testing.T) *ml.ModelDump {
 	if err := g.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	dump, err := ml.DumpModel(g)
+	return g
+}
+
+// fittedFlat is fittedGBR's flat form.
+func fittedFlat(t *testing.T) *ml.FlatModel {
+	t.Helper()
+	fm, err := ml.DumpFlat(fittedGBR(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dump
+	return fm
+}
+
+// modelArtifact is an artifact holding only fittedGBR's model sections.
+func modelArtifact(t *testing.T) *Artifact {
+	t.Helper()
+	a := &Artifact{Tool: "store_test"}
+	if err := a.SetModelFlat(fittedFlat(t)); err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// assertPredictsLike requires m to predict bit-identically to want on
+// random feature vectors.
+func assertPredictsLike(t *testing.T, want, m ml.Regressor, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 50; i++ {
+		x := make([]float64, len(pmc.SelectedEvents)+1)
+		for j := range x {
+			x[j] = rng.Float64()
+		}
+		w, g := want.Predict(x), m.Predict(x)
+		if math.Float64bits(w) != math.Float64bits(g) {
+			t.Fatalf("prediction %d differs through the store: %v vs %v", i, w, g)
+		}
+	}
+}
+
+// loadModel restores the model an artifact's binary sections carry.
+func loadModel(t *testing.T, a *Artifact) ml.Regressor {
+	t.Helper()
+	fm, err := a.ModelFlat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ml.LoadFlat(fm, ml.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func testSystemState(t *testing.T) *SystemState {
@@ -51,7 +99,6 @@ func testSystemState(t *testing.T) *SystemState {
 		Spec:      hm.DefaultSpec(),
 		Events:    append([]string(nil), pmc.SelectedEvents...),
 		TrainedR2: 0.91,
-		Model:     fittedGBRDump(t),
 		Train: TrainMeta{
 			Seed:    1,
 			Level:   "quick",
@@ -69,7 +116,7 @@ func testSystemState(t *testing.T) *SystemState {
 
 func testArtifact(t *testing.T) *Artifact {
 	t.Helper()
-	a := &Artifact{Tool: "store_test"}
+	a := modelArtifact(t)
 	if err := a.SetSystem(testSystemState(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -142,29 +189,10 @@ func TestLoadedModelPredictsBitIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := decoded.System()
-	if err != nil {
+	if _, err := decoded.System(); err != nil {
 		t.Fatal(err)
 	}
-	orig, err := ml.LoadModel(testSystemState(t).Model, ml.LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ml.LoadModel(st.Model, ml.LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 50; i++ {
-		x := make([]float64, len(pmc.SelectedEvents)+1)
-		for j := range x {
-			x[j] = rng.Float64()
-		}
-		w, g := orig.Predict(x), loaded.Predict(x)
-		if math.Float64bits(w) != math.Float64bits(g) {
-			t.Fatalf("prediction %d differs through the store: %v vs %v", i, w, g)
-		}
-	}
+	assertPredictsLike(t, fittedGBR(t), loadModel(t, decoded), 9)
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
@@ -205,16 +233,20 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 
 func TestDecodeRejectsWrongVersion(t *testing.T) {
 	good := encode(t, testArtifact(t))
-	bad := bytes.Replace(good, []byte(`{"version":1`), []byte(`{"version":2`), 1)
-	if bytes.Equal(good, bad) {
-		t.Fatal("version marker not found in manifest")
-	}
-	_, err := Decode(bytes.NewReader(bad))
-	if !errors.Is(err, merr.ErrBadArtifact) {
-		t.Fatalf("got %v, want ErrBadArtifact", err)
-	}
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("error %v does not name the version", err)
+	marker := func(v int) []byte { return []byte(fmt.Sprintf(`{"version":%d`, v)) }
+	// Older writers (a pre-bump artifact) and newer ones both fail.
+	for _, v := range []int{Version - 1, Version + 1} {
+		bad := bytes.Replace(good, marker(Version), marker(v), 1)
+		if bytes.Equal(good, bad) {
+			t.Fatal("version marker not found in manifest")
+		}
+		_, err := Decode(bytes.NewReader(bad))
+		if !errors.Is(err, merr.ErrBadArtifact) {
+			t.Fatalf("version %d: got %v, want ErrBadArtifact", v, err)
+		}
+		if err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version %d: error %v does not name the version", v, err)
+		}
 	}
 }
 
@@ -233,7 +265,7 @@ func TestSystemSectionStrictness(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			st := testSystemState(t)
 			tc.mutate(st)
-			a := &Artifact{}
+			a := modelArtifact(t)
 			if err := a.SetSystem(st); !errors.Is(err, merr.ErrBadArtifact) {
 				t.Fatalf("SetSystem accepted a bad state: %v", err)
 			}

@@ -13,8 +13,7 @@ import (
 )
 
 // benchEnsembles spans the cold-start story: small is merchbench's
-// quick profile, large is ~20x the paper's Table 3 ensemble — the
-// regime where JSON restore visibly stalls a daemon boot.
+// quick profile, large is ~20x the paper's Table 3 ensemble.
 var benchEnsembles = []struct {
 	name          string
 	stages, depth int
@@ -25,9 +24,9 @@ var benchEnsembles = []struct {
 	{"large", 256, 8, 1600},
 }
 
-// benchFormatArtifacts fits one synthetic GBR system per size and
-// snapshots it in both formats.
-func benchFormatArtifacts(b *testing.B, stages, depth, rows int) (jsonBytes, binBytes []byte) {
+// benchArtifact fits one synthetic GBR system per size and snapshots
+// it.
+func benchArtifact(b *testing.B, stages, depth, rows int) []byte {
 	b.Helper()
 	rng := rand.New(rand.NewSource(int64(stages)))
 	d := len(pmc.SelectedEvents) + 1
@@ -50,14 +49,11 @@ func benchFormatArtifacts(b *testing.B, stages, depth, rows int) (jsonBytes, bin
 		Perf:      &model.PerfModel{Corr: &model.CorrelationFunc{Model: g, Events: append([]string(nil), pmc.SelectedEvents...)}},
 		TrainedR2: 0.9,
 	}
-	var jb, bb bytes.Buffer
-	if err := sys.SnapshotFormat(&jb, SaveJSON); err != nil {
+	var buf bytes.Buffer
+	if err := sys.Snapshot(&buf); err != nil {
 		b.Fatal(err)
 	}
-	if err := sys.SnapshotFormat(&bb, SaveBinary); err != nil {
-		b.Fatal(err)
-	}
-	return jb.Bytes(), bb.Bytes()
+	return buf.Bytes()
 }
 
 func benchRestore(b *testing.B, data []byte) {
@@ -75,26 +71,14 @@ func benchRestore(b *testing.B, data []byte) {
 	}
 }
 
-// BenchmarkRestoreJSON is the daemon cold-start cost of the portable
-// format: container decode + JSON node decode + table re-compile,
-// scaling with ensemble size.
-func BenchmarkRestoreJSON(b *testing.B) {
+// BenchmarkRestore is the daemon cold start: the node table is one
+// contiguous read plus an O(n) structural validation — no JSON node
+// decode, no pointer rebuild, no re-compile.
+func BenchmarkRestore(b *testing.B) {
 	for _, e := range benchEnsembles {
-		jsonBytes, _ := benchFormatArtifacts(b, e.stages, e.depth, e.rows)
+		data := benchArtifact(b, e.stages, e.depth, e.rows)
 		b.Run(fmt.Sprintf("%s_stages%d_depth%d", e.name, e.stages, e.depth), func(b *testing.B) {
-			benchRestore(b, jsonBytes)
-		})
-	}
-}
-
-// BenchmarkRestoreBinary is the slot-format cold start: the node table
-// is one contiguous read plus an O(n) structural validation — no JSON
-// node decode, no pointer rebuild, no re-compile.
-func BenchmarkRestoreBinary(b *testing.B) {
-	for _, e := range benchEnsembles {
-		_, binBytes := benchFormatArtifacts(b, e.stages, e.depth, e.rows)
-		b.Run(fmt.Sprintf("%s_stages%d_depth%d", e.name, e.stages, e.depth), func(b *testing.B) {
-			benchRestore(b, binBytes)
+			benchRestore(b, data)
 		})
 	}
 }

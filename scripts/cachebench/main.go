@@ -57,7 +57,7 @@ func main() {
 	sys, err := merchandiser.NewSystem(merchandiser.DefaultSpec(), merchandiser.TrainQuick)
 	check(err)
 	artifact := filepath.Join(dir, "sys.artifact")
-	check(sys.SaveFileFormat(artifact, merchandiser.SaveBinary))
+	check(sys.SaveFile(artifact))
 
 	ops := map[string]float64{}
 

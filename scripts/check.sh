@@ -16,10 +16,13 @@
 # reload, then a second cache-enabled leg asserting zero stale
 # responses and a nonzero gate hit rate across the promotion), hold the
 # response-cache hot path (canonical hash + LRU lookup) to zero
-# allocations, smoke the canonical-encoding fuzz target, and hold
-# internal/obs to a coverage floor. Every
+# allocations, smoke the canonical-encoding fuzz target, hold
+# internal/obs to a coverage floor, and vet and short-test the
+# benchmark (perfbench is its own module, so `go test ./...` never
+# builds it; this stanza catches library changes that break it). Every
 # test invocation gets a per-package timeout (60s plain, 600s for the
-# ~10x-slower race tier) so a hung run fails instead of wedging CI.
+# ~10x-slower race tier, 300s for the benchmark module) so a hung run
+# fails instead of wedging CI.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -68,7 +71,7 @@ go test -race -timeout 600s -count=1 \
 echo "== pipeline identity smoke (Workers=1 vs Workers=8 byte-identical)"
 # The tentpole invariant: overlap must change scheduling only, never
 # results. TestRunPipelineIdentity runs the quick pipeline at both
-# worker counts plus the barriered Prepare->RunEvaluation reference and
+# worker counts plus the sequential Prepare->RunEvaluation reference and
 # requires identical models, corpora and evaluation matrices.
 go test -timeout 300s -count=1 -run '^TestRunPipelineIdentity$' ./internal/experiments
 
@@ -150,5 +153,8 @@ if ! awk -v c="$cov" 'BEGIN { exit (c >= 70.0) ? 0 : 1 }'; then
 	exit 1
 fi
 echo "internal/obs coverage: ${cov}%"
+
+echo "== benchmark module (perfbench: go vet + go test -short)"
+(cd perfbench && export GOTOOLCHAIN=local GOPROXY=off GOWORK=off && go vet ./... && go test -short -count=1 -timeout 300s ./...)
 
 echo "check OK"

@@ -191,7 +191,7 @@ func runLeg(daemon, gateBin string, cacheEntries int) {
 	log.Print("v2 promoted, replicas signaled")
 
 	// The fleet view must converge on v2 while traffic keeps flowing.
-	waitForFleetVersion(gateURL, "v2", cacheEntries > 0, 10*time.Second)
+	waitForFleetVersion(gateURL, "v2", 10*time.Second)
 	waitForVersions(planlogs, "v2", 10*time.Second)
 	close(stopTraffic)
 	wg.Wait()
@@ -284,7 +284,7 @@ func publish(reg *registry.Registry, dir, version string, seed int64) {
 	check(err, "build system")
 	sys.Meta.Seed = seed
 	path := filepath.Join(dir, version+".artifact")
-	check(sys.SaveFileFormat(path, merchandiser.SaveBinary), "save "+version)
+	check(sys.SaveFile(path), "save "+version)
 	_, err = reg.Publish(version, path)
 	check(err, "publish "+version)
 }
@@ -390,21 +390,14 @@ func waitForVersions(dirs []string, version string, timeout time.Duration) {
 }
 
 // waitForFleetVersion waits until the gate's /fleetz shows every replica
-// healthy on version. The body shape follows the gate's cache config:
-// the legacy bare array when off, the FleetResponse object when on.
-func waitForFleetVersion(gateURL, version string, cached bool, timeout time.Duration) {
+// healthy on version.
+func waitForFleetVersion(gateURL, version string, timeout time.Duration) {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		var backends []gate.BackendStatus
-		if cached {
-			var fleet gate.FleetResponse
-			getJSON(gateURL+"/fleetz", &fleet)
-			backends = fleet.Backends
-		} else {
-			getJSON(gateURL+"/fleetz", &backends)
-		}
+		var fleet gate.FleetResponse
+		getJSON(gateURL+"/fleetz", &fleet)
 		n := 0
-		for _, b := range backends {
+		for _, b := range fleet.Backends {
 			if b.Healthy && b.Version == version {
 				n++
 			}

@@ -45,7 +45,7 @@ func main() {
 	artifact := filepath.Join(dir, "sys.artifact")
 	sys, err := merchandiser.NewSystem(merchandiser.DefaultSpec(), merchandiser.TrainQuick)
 	check(err, "build system")
-	check(sys.SaveFileFormat(artifact, merchandiser.SaveBinary), "save artifact")
+	check(sys.SaveFile(artifact), "save artifact")
 	log.Print("artifact saved (binary)")
 
 	// Load + serve: a real daemon process on a kernel-picked port.

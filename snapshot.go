@@ -19,22 +19,16 @@ type SystemMeta = store.TrainMeta
 // and range); it travels inside SystemMeta.
 type FeatureStats = store.FeatureStats
 
-// SaveFormat selects how a snapshot persists its model. SaveJSON is
-// the portable interchange form; SaveBinary persists the compiled node
-// table as checksummed slot sections so Restore ingests it with no
-// JSON decode of node arrays and no re-compile; SaveBoth carries both
-// in one container (Restore prefers the binary sections). All three
-// restore to systems whose predictions are bit-identical.
-type SaveFormat = store.Format
+// SaveFormat names a checkpoint's model encoding; SaveBinary is the
+// only one.
+//
+// Deprecated: SaveFile always writes the binary format.
+type SaveFormat string
 
-const (
-	SaveJSON   = store.FormatJSON
-	SaveBinary = store.FormatBinary
-	SaveBoth   = store.FormatBoth
-)
-
-// ParseSaveFormat validates a format name (e.g. a -save-format flag).
-func ParseSaveFormat(s string) (SaveFormat, error) { return store.ParseFormat(s) }
+// SaveBinary is the binary slot-section format SaveFile writes.
+//
+// Deprecated: SaveFile always writes the binary format.
+const SaveBinary SaveFormat = "binary"
 
 // RestoreOption tunes Restore. Options re-attach the runtime knobs that
 // snapshots deliberately exclude; none of them change predictions.
@@ -59,35 +53,16 @@ func WithWorkers(n int) RestoreOption {
 	return func(o *restoreOptions) { o.workers = n }
 }
 
-// snapshotState converts the system into its persistable form.
-func (s *System) snapshotState() (*store.SystemState, error) {
+// snapshotArtifact builds the snapshot container: the model as binary
+// slot sections, everything else in the system section.
+func (s *System) snapshotArtifact() (*store.Artifact, error) {
+	a := &store.Artifact{Tool: "merchandiser"}
 	st := &store.SystemState{
 		Spec:      s.Spec,
 		TrainedR2: s.TrainedR2,
 		Train:     s.Meta,
 	}
 	if s.Perf != nil && s.Perf.Corr != nil {
-		dump, err := ml.DumpModel(s.Perf.Corr.Model)
-		if err != nil {
-			return nil, err
-		}
-		st.Model = dump
-		st.Events = append([]string(nil), s.Perf.Corr.Events...)
-	}
-	return st, nil
-}
-
-// snapshotArtifact builds the snapshot container in the given format.
-func (s *System) snapshotArtifact(format SaveFormat) (*store.Artifact, error) {
-	if _, err := ParseSaveFormat(string(format)); err != nil {
-		return nil, err
-	}
-	st, err := s.snapshotState()
-	if err != nil {
-		return nil, err
-	}
-	a := &store.Artifact{Tool: "merchandiser"}
-	if st.Model != nil && format != SaveJSON {
 		fm, err := ml.DumpFlat(s.Perf.Corr.Model)
 		if err != nil {
 			return nil, err
@@ -95,11 +70,7 @@ func (s *System) snapshotArtifact(format SaveFormat) (*store.Artifact, error) {
 		if err := a.SetModelFlat(fm); err != nil {
 			return nil, err
 		}
-		if format == SaveBinary {
-			// The model travels only as slot sections; the system section
-			// keeps the event list the correlation function feeds on.
-			st.Model = nil
-		}
+		st.Events = append([]string(nil), s.Perf.Corr.Events...)
 	}
 	if err := a.SetSystem(st); err != nil {
 		return nil, err
@@ -109,20 +80,14 @@ func (s *System) snapshotArtifact(format SaveFormat) (*store.Artifact, error) {
 
 // Snapshot writes the system as a versioned artifact: platform spec,
 // trained correlation function, held-out R² and training provenance,
-// behind a manifest with per-section checksums. The output is a pure
-// function of the system's contents — snapshotting the same system twice
-// yields identical bytes — and Restore rebuilds a System that predicts
-// bit-for-bit identically without any retraining. The model persists in
-// the portable JSON form; see SnapshotFormat for the binary form.
+// behind a manifest with per-section checksums. The model persists as
+// its compiled node table in binary slot sections, so Restore ingests
+// it with no re-compile. The output is a pure function of the system's
+// contents — snapshotting the same system twice yields identical bytes
+// — and Restore rebuilds a System that predicts bit-for-bit identically
+// without any retraining.
 func (s *System) Snapshot(w io.Writer) error {
-	return s.SnapshotFormat(w, SaveJSON)
-}
-
-// SnapshotFormat writes the system as an artifact with the model in the
-// given format. Every format restores to an identically-predicting
-// system; SaveBinary makes that restore O(1)-ish in model size.
-func (s *System) SnapshotFormat(w io.Writer, format SaveFormat) error {
-	a, err := s.snapshotArtifact(format)
+	a, err := s.snapshotArtifact()
 	if err != nil {
 		return err
 	}
@@ -132,16 +97,22 @@ func (s *System) SnapshotFormat(w io.Writer, format SaveFormat) error {
 // SaveFile snapshots the system to path atomically (write-then-rename);
 // readers never observe a partial artifact.
 func (s *System) SaveFile(path string) error {
-	return s.SaveFileFormat(path, SaveJSON)
-}
-
-// SaveFileFormat is SaveFile with a model format knob.
-func (s *System) SaveFileFormat(path string, format SaveFormat) error {
-	a, err := s.snapshotArtifact(format)
+	a, err := s.snapshotArtifact()
 	if err != nil {
 		return err
 	}
 	return store.WriteFile(path, a)
+}
+
+// SaveFileFormat is SaveFile for callers that still name the format;
+// any format other than SaveBinary is rejected.
+//
+// Deprecated: use SaveFile.
+func (s *System) SaveFileFormat(path string, format SaveFormat) error {
+	if format != SaveBinary {
+		return merr.Errorf(merr.ErrBadSpec, "merchandiser: save format %q is gone; checkpoints are binary only", format)
+	}
+	return s.SaveFile(path)
 }
 
 // Restore reads a Snapshot artifact and rebuilds the System it
@@ -189,25 +160,12 @@ func restoreSystem(a *store.Artifact, opts []RestoreOption) (*System, error) {
 		TrainedR2: st.TrainedR2,
 		Meta:      st.Train,
 	}
-	// Per-section encoding sniff: the binary slot sections win when
-	// present (they are the compiled truth and load without JSON-decoding
-	// node arrays or re-compiling); otherwise the JSON model loads.
-	switch {
-	case a.HasBinaryModel():
-		if len(st.Events) == 0 {
-			return nil, merr.Errorf(merr.ErrBadArtifact, "merchandiser: binary model without an event list")
-		}
+	if a.HasBinaryModel() {
 		fm, err := a.ModelFlat()
 		if err != nil {
 			return nil, err
 		}
 		m, err := ml.LoadFlat(fm, ml.LoadOptions{Workers: o.workers, Obs: o.observer})
-		if err != nil {
-			return nil, err
-		}
-		s.Perf.Corr = &model.CorrelationFunc{Model: m, Events: st.Events}
-	case st.Model != nil:
-		m, err := ml.LoadModel(st.Model, ml.LoadOptions{Workers: o.workers, Obs: o.observer})
 		if err != nil {
 			return nil, err
 		}

@@ -3,8 +3,12 @@ package merchandiser
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -12,13 +16,14 @@ import (
 	"merchandiser/internal/model"
 	"merchandiser/internal/placement"
 	"merchandiser/internal/pmc"
+	"merchandiser/internal/store"
 )
 
-// formatSnapshot snapshots sys in the given format and returns the bytes.
-func formatSnapshot(t *testing.T, sys *System, f SaveFormat) []byte {
+// snapshotBytes snapshots sys and returns the bytes.
+func snapshotBytes(t *testing.T, sys *System) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := sys.SnapshotFormat(&buf, f); err != nil {
+	if err := sys.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -47,107 +52,10 @@ func bitIdenticalPlans(t *testing.T, want, got *System, label string) {
 	}
 }
 
-// TestSaveFormatsServeIdentically is the differential acceptance test
-// for the binary artifact format: the same trained system saved as
-// json, binary, and both must restore to systems whose Compare and
-// MinMakespanPlan outputs are byte-identical — and the binary restore
-// must be provably free of training, JSON node decoding and
-// re-compilation (obs counters flat).
-func TestSaveFormatsServeIdentically(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a quick corpus")
-	}
-	sys, err := NewSystem(testSpec(), TrainQuick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonBytes := formatSnapshot(t, sys, SaveJSON)
-	binBytes := formatSnapshot(t, sys, SaveBinary)
-	bothBytes := formatSnapshot(t, sys, SaveBoth)
-	if bytes.Equal(jsonBytes, binBytes) {
-		t.Fatal("binary snapshot encodes identically to JSON; the format knob is dead")
-	}
-
-	// JSON restore pays the re-compile and says so on the registry.
-	regJSON := NewObserver()
-	fromJSON, err := Restore(context.Background(), bytes.NewReader(jsonBytes), WithObserver(regJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := regJSON.Snapshot(true).Counters["ml.compiles"]; got != 1 {
-		t.Fatalf("JSON restore recorded %v compiles, want 1", got)
-	}
-
-	// Binary restore does zero training work AND zero compile work: the
-	// fit counter is zero and the compile counter/timer never register.
-	regBin := NewObserver()
-	fromBin, err := Restore(context.Background(), bytes.NewReader(binBytes), WithObserver(regBin))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := regBin.Snapshot(true)
-	if got := snap.Counters["ml.gbr.fits"]; got != 0 {
-		t.Fatalf("binary restore recorded %v fits, want 0", got)
-	}
-	if _, ok := snap.Counters["ml.compiles"]; ok {
-		t.Fatal("binary restore recorded a compile; the flat path must not re-compile")
-	}
-	if _, ok := snap.Timers["ml.compile_seconds"]; ok {
-		t.Fatal("binary restore started the compile timer")
-	}
-
-	fromBoth, err := Restore(context.Background(), bytes.NewReader(bothBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// All three restores serve bit-identical plans.
-	bitIdenticalPlans(t, sys, fromJSON, "json")
-	bitIdenticalPlans(t, sys, fromBin, "binary")
-	bitIdenticalPlans(t, sys, fromBoth, "both")
-	if regBin.Counter("ml.gbr.predictions").Value() == 0 {
-		t.Fatal("binary-restored model predictions not observed")
-	}
-
-	// And byte-identical Compare output (the full-simulation check, run
-	// once against the binary restore — the format under test).
-	app := buildTestApp(t, 3)
-	opts := Options{StepSec: 0.001, IntervalSec: 0.02}
-	want, err := sys.Compare(context.Background(), app, opts, sys.PMOnly(), sys.Merchandiser())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fromBin.Compare(context.Background(), buildTestApp(t, 3), opts, fromBin.PMOnly(), fromBin.Merchandiser())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("Compare output differs through the binary format")
-	}
-
-	// Cross-format re-encode stability: the binary-restored system must
-	// reproduce BOTH formats' original bytes (binary→json→binary and
-	// json→binary→json are closed loops), and the JSON-restored system
-	// must reproduce the binary bytes.
-	if !bytes.Equal(formatSnapshot(t, fromBin, SaveBinary), binBytes) {
-		t.Fatal("binary re-snapshot of a binary-restored system is not byte-identical")
-	}
-	if !bytes.Equal(formatSnapshot(t, fromBin, SaveJSON), jsonBytes) {
-		t.Fatal("JSON re-snapshot of a binary-restored system is not byte-identical")
-	}
-	if !bytes.Equal(formatSnapshot(t, fromJSON, SaveBinary), binBytes) {
-		t.Fatal("binary re-snapshot of a JSON-restored system is not byte-identical")
-	}
-	if !bytes.Equal(formatSnapshot(t, fromBoth, SaveBoth), bothBytes) {
-		t.Fatal("both re-snapshot of a both-restored system is not byte-identical")
-	}
-}
-
-// TestSaveFormatForest runs the same differential loop over a
-// forest-model system (built directly, no corpus training) so both
-// ensemble kinds cross the binary boundary in the corpus of tested
-// systems.
-func TestSaveFormatForest(t *testing.T) {
+// syntheticSystem wraps a model fitted on synthetic feature rows in a
+// System (no corpus training).
+func syntheticSystem(t *testing.T, m ml.Regressor) *System {
+	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	d := len(pmc.SelectedEvents) + 1
 	X := make([][]float64, 150)
@@ -160,51 +68,139 @@ func TestSaveFormatForest(t *testing.T) {
 		X[i] = row
 		y[i] = 0.2 + 0.6*row[0] + 0.3*row[1]*row[2]
 	}
-	f := ml.NewRandomForest(ml.ForestConfig{NumTrees: 5, MaxDepth: 5, Seed: 13})
-	if err := f.Fit(X, y); err != nil {
+	if err := m.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
-	sys := &System{
+	return &System{
 		Spec:      testSpec(),
-		Perf:      &model.PerfModel{Corr: &model.CorrelationFunc{Model: f, Events: append([]string(nil), pmc.SelectedEvents...)}},
+		Perf:      &model.PerfModel{Corr: &model.CorrelationFunc{Model: m, Events: append([]string(nil), pmc.SelectedEvents...)}},
 		TrainedR2: 0.5,
-	}
-	jsonBytes := formatSnapshot(t, sys, SaveJSON)
-	binBytes := formatSnapshot(t, sys, SaveBinary)
-	fromJSON, err := Restore(context.Background(), bytes.NewReader(jsonBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := Restore(context.Background(), bytes.NewReader(binBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitIdenticalPlans(t, fromJSON, fromBin, "forest")
-	if !bytes.Equal(formatSnapshot(t, fromBin, SaveJSON), jsonBytes) {
-		t.Fatal("forest binary→json re-encode is not byte-identical")
-	}
-	if !bytes.Equal(formatSnapshot(t, fromBin, SaveBinary), binBytes) {
-		t.Fatal("forest binary re-encode is not byte-stable")
 	}
 }
 
-// TestSaveFormatUntrained: with no model, every format produces the
-// identical (slot-free) artifact.
+// TestSaveFormatsServeIdentically: the deprecated SaveFileFormat shim
+// writes exactly what SaveFile and Snapshot write — the one binary
+// format, with the model only in the slot sections. The restore serves
+// bit-identical plans without training.
+func TestSaveFormatsServeIdentically(t *testing.T) {
+	sys := syntheticSystem(t, ml.NewGradientBoosted(ml.GBRConfig{NumStages: 20, MaxDepth: 4, Seed: 3}))
+	snap := snapshotBytes(t, sys)
+	dir := t.TempDir()
+	viaFile, viaShim := filepath.Join(dir, "file.artifact"), filepath.Join(dir, "shim.artifact")
+	if err := sys.SaveFile(viaFile); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SaveFileFormat(viaShim, SaveBinary); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{viaFile, viaShim} {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, snap) {
+			t.Fatalf("%s differs from the Snapshot bytes", filepath.Base(p))
+		}
+	}
+
+	a, err := store.Decode(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.HasBinaryModel() {
+		t.Fatal("snapshot carries no binary model sections")
+	}
+	if raw, _ := a.Get(store.SectionSystem); bytes.Contains(raw, []byte(`"model"`)) {
+		t.Fatal("system section still carries a model")
+	}
+
+	reg := NewObserver()
+	restored, err := Restore(context.Background(), bytes.NewReader(snap), WithObserver(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitIdenticalPlans(t, sys, restored, "binary")
+	if got := reg.Counter("ml.gbr.fits").Value(); got != 0 {
+		t.Fatalf("restore recorded %v fits, want 0", got)
+	}
+	if reg.Counter("ml.gbr.predictions").Value() == 0 {
+		t.Fatal("restored model predictions not observed")
+	}
+}
+
+// TestSaveFileFormatNames: the deprecated shim accepts only the binary
+// format's exact name. The retired JSON formats, unknown names and
+// case-mangled spellings fail as ErrBadSpec and write nothing.
+func TestSaveFileFormatNames(t *testing.T) {
+	sys := syntheticSystem(t, ml.NewGradientBoosted(ml.GBRConfig{NumStages: 5, Seed: 1}))
+	dir := t.TempDir()
+	if err := sys.SaveFileFormat(filepath.Join(dir, "ok.artifact"), "binary"); err != nil {
+		t.Fatalf("%q rejected: %v", SaveBinary, err)
+	}
+	for _, f := range []SaveFormat{"json", "both", "yaml", "BINARY", ""} {
+		path := filepath.Join(dir, "x.artifact")
+		if err := sys.SaveFileFormat(path, f); !errors.Is(err, ErrBadSpec) {
+			t.Fatalf("save format %q: got %v, want ErrBadSpec", f, err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("save format %q left a file behind", f)
+		}
+	}
+}
+
+// TestSaveFormatForest runs the snapshot loop over a forest-model
+// system so both ensemble kinds cross the binary boundary.
+func TestSaveFormatForest(t *testing.T) {
+	sys := syntheticSystem(t, ml.NewRandomForest(ml.ForestConfig{NumTrees: 5, MaxDepth: 5, Seed: 13}))
+	snap := snapshotBytes(t, sys)
+	restored, err := Restore(context.Background(), bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitIdenticalPlans(t, sys, restored, "forest")
+	if !bytes.Equal(snapshotBytes(t, restored), snap) {
+		t.Fatal("forest re-snapshot is not byte-identical")
+	}
+}
+
+// TestSaveFormatUntrained: with no model the artifact has no slot
+// sections, and the shim still writes the Snapshot bytes.
 func TestSaveFormatUntrained(t *testing.T) {
 	sys, err := NewSystem(testSpec(), TrainNone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonBytes := formatSnapshot(t, sys, SaveJSON)
-	for _, f := range []SaveFormat{SaveBinary, SaveBoth} {
-		if !bytes.Equal(formatSnapshot(t, sys, f), jsonBytes) {
-			t.Fatalf("untrained %s snapshot differs from JSON", f)
-		}
-	}
-	if err := sys.SnapshotFormat(&bytes.Buffer{}, SaveFormat("yaml")); err == nil {
-		t.Fatal("unknown save format accepted")
-	}
-	if _, err := ParseSaveFormat("binary"); err != nil {
+	snap := snapshotBytes(t, sys)
+	a, err := store.Decode(bytes.NewReader(snap))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if a.Has(store.SectionModelNodes) || a.Has(store.SectionModelTrees) {
+		t.Fatal("untrained snapshot grew model sections")
+	}
+	path := filepath.Join(t.TempDir(), "sys.artifact")
+	if err := sys.SaveFileFormat(path, SaveBinary); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, snap) {
+		t.Fatalf("shim output differs from the Snapshot bytes (%v)", err)
+	}
+}
+
+// TestRestoreRejectsOtherVersions: an artifact written under another
+// store version — such as one from before the binary-only bump — fails
+// restore as ErrBadArtifact instead of being misread.
+func TestRestoreRejectsOtherVersions(t *testing.T) {
+	sys := syntheticSystem(t, ml.NewGradientBoosted(ml.GBRConfig{NumStages: 5, Seed: 1}))
+	snap := snapshotBytes(t, sys)
+	marker := func(v int) []byte { return []byte(fmt.Sprintf(`{"version":%d`, v)) }
+	for _, v := range []int{store.Version - 1, store.Version + 1} {
+		old := bytes.Replace(snap, marker(store.Version), marker(v), 1)
+		if bytes.Equal(old, snap) {
+			t.Fatal("version marker not found")
+		}
+		if _, err := Restore(context.Background(), bytes.NewReader(old)); !errors.Is(err, ErrBadArtifact) {
+			t.Fatalf("version %d artifact: got %v, want ErrBadArtifact", v, err)
+		}
 	}
 }

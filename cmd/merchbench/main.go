@@ -61,7 +61,6 @@ func main() {
 	outDir := flag.String("out", "", "directory for output files; relative -json/-metrics/-trace/-save paths are placed under it instead of the CWD")
 	savePath := flag.String("save", "", "after training, checkpoint the system (spec + correlation function) to this artifact file")
 	loadPath := flag.String("load", "", "skip training and restore the system from this artifact file")
-	benchCache := flag.String("bench-cache", "", "measure the replica response cache (/place cold vs cached) and write the report (schema "+experiments.BenchSchema+") to this file, then exit")
 	replanMode := flag.String("replan", "", "Merchandiser re-planning mode for every cell: off, drift or interval (default off — byte-identical to plan-once)")
 	replanEpoch := flag.Int("replan-epoch", 0, "epoch length in policy ticks for -replan (0 = default)")
 	tenants := flag.String("tenants", "", "per-tenant DRAM page quotas for -exp cosched as name=pages pairs, e.g. spgemm=1228,bfs=512 (default: a 60/25 split of DRAM)")
@@ -96,7 +95,6 @@ func main() {
 	*tracePath = outPath(*tracePath)
 	*benchOut = outPath(*benchOut)
 	*savePath = outPath(*savePath)
-	*benchCache = outPath(*benchCache)
 	*benchReplan = outPath(*benchReplan)
 	*cpuProfile = outPath(*cpuProfile)
 	*memProfile = outPath(*memProfile)
@@ -140,12 +138,6 @@ func main() {
 	tenantQuotas, err := parseTenants(*tenants)
 	fail(err)
 
-	// Standalone cache benchmark: one synthetic artifact, one in-process
-	// replica, /place timed cold and warm.
-	if *benchCache != "" {
-		fail(runCacheBench(ctx, os.Stdout, *benchCache, cfg))
-		return
-	}
 	if *policies != "" {
 		if *policies == "list" {
 			fmt.Println(strings.Join(policyreg.Names(), "\n"))

@@ -13,16 +13,18 @@
 // version and SHA-256), /metricsz (obs registry snapshot), /replanz
 // (the loaded model's epoch-lifecycle reports), /reloadz (POST;
 // hot-swap to the registry's promoted version) and /place (POST
-// placement request). Concurrent requests are micro-batched into single
-// MinMakespanPlan evaluations. SIGTERM/SIGINT drains gracefully:
-// admitted requests are answered, new ones get 503, then the process
-// exits. -pprof localhost:6060 additionally serves net/http/pprof on
-// that separate address (off by default, never on the serving address).
+// placement request). One planner goroutine answers queued requests one
+// at a time, each with its own MinMakespanPlan over the node's full
+// DRAM, so a plan depends only on (model, request). SIGTERM/SIGINT
+// drains gracefully: admitted requests are answered, new ones get 503,
+// then the process exits. -pprof localhost:6060 additionally serves
+// net/http/pprof on that separate address (off by default, never on the
+// serving address).
 //
 // With -registry the daemon serves the registry's CURRENT version
 // instead of a fixed -artifact path, and hot-reloads on SIGHUP (or POST
 // /reloadz): the newly promoted artifact is restored in the background
-// and swapped in between micro-batches — zero admitted requests dropped,
+// and swapped in between plans — zero admitted requests dropped,
 // /readyz never flaps.
 //
 //	merchbench -exp none -quick -save sys.artifact -registry /var/merch -publish v2 -promote
@@ -55,12 +57,10 @@ func main() {
 	artifact := flag.String("artifact", "", "trained-system artifact to serve (see merchbench -save); mutually exclusive with -registry")
 	registryRoot := flag.String("registry", "", "model registry root: serve the CURRENT version and hot-reload on SIGHUP or POST /reloadz")
 	queue := flag.Int("queue", 64, "bounded request queue depth; overflow answers 429")
-	batch := flag.Int("batch", 16, "max placement requests co-planned per MinMakespanPlan evaluation")
-	window := flag.Duration("window", 2*time.Millisecond, "micro-batching window after the first request of a batch")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request deadline (queue wait + evaluation); expired requests answer 504")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-drain budget on SIGTERM before the process gives up waiting")
 	cacheEntries := flag.Int("cache-entries", 0, "response-cache capacity: identical requests against the same model skip the planner entirely (0 disables)")
-	planlog := flag.String("planlog", "", "directory to write one plan artifact per batch (for audit/replay)")
+	planlog := flag.String("planlog", "", "directory to write one plan artifact per planned request (for audit/replay)")
 	addrfile := flag.String("addrfile", "", "write the bound listen address to this file once serving (for harnesses using port 0)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); off by default")
 	flag.Parse()
@@ -72,8 +72,6 @@ func main() {
 	reg := merchandiser.NewObserver()
 	cfg := serve.Config{
 		QueueDepth:     *queue,
-		MaxBatch:       *batch,
-		BatchWindow:    *window,
 		CacheEntries:   *cacheEntries,
 		Obs:            reg,
 		RestoreOptions: []merchandiser.RestoreOption{merchandiser.WithObserver(reg)},
@@ -132,8 +130,8 @@ func main() {
 	}
 
 	// SIGHUP hot-reloads the promoted version: restore happens in the
-	// background, the swap lands between micro-batches, and in-flight
-	// requests are answered by whichever model planned their batch.
+	// background, the swap lands between plans, and in-flight requests
+	// are answered by whichever model planned them.
 	if modelReg != nil {
 		hup := make(chan os.Signal, 1)
 		signal.Notify(hup, syscall.SIGHUP)
@@ -195,7 +193,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	// Drain order: first the service (marks not-ready, answers every
-	// admitted request, stops the batcher), then the HTTP server (waits
+	// admitted request, stops the planner), then the HTTP server (waits
 	// for in-flight handlers, which by now all have their answers).
 	if err := svc.Shutdown(ctx); err != nil {
 		log.Printf("merchserved: service drain: %v", err)
@@ -206,8 +204,9 @@ func main() {
 	log.Print("drained")
 }
 
-// planLogger writes each batch's plan record as a single-section
-// artifact named by batch sequence number.
+// planLogger writes each planned request's plan record as a
+// single-section artifact named by plan sequence number. The service
+// calls it from its one planner goroutine, so seq needs no lock.
 func planLogger(dir string) func(*store.PlanRecord) {
 	seq := 0
 	return func(r *store.PlanRecord) {

@@ -23,8 +23,8 @@ type ringPoint struct {
 // Each node projects VNodes points onto a uint64 circle; a key routes to
 // the first point clockwise of its hash. Adding or removing one replica
 // moves only ~1/N of the key space — the property that keeps per-app
-// request streams (and therefore their micro-batch co-planning peers)
-// pinned to a stable replica as the fleet changes.
+// request streams (and therefore their replica cache entries) pinned to
+// a stable replica as the fleet changes.
 type Ring struct {
 	nodes  []string
 	points []ringPoint

@@ -120,10 +120,13 @@ func (c *Cache) Get(k Key) (any, bool) {
 		return nil, false
 	}
 	sh := c.shard(k)
+	var v any
 	sh.mu.Lock()
 	el, ok := sh.items[k]
 	if ok {
 		sh.order.MoveToFront(el)
+		// Read under the lock: Put refreshes val in place.
+		v = el.Value.(*centry).val
 	}
 	sh.mu.Unlock()
 	if !ok {
@@ -133,7 +136,7 @@ func (c *Cache) Get(k Key) (any, bool) {
 	}
 	c.hits.Add(1)
 	c.obsHits.Inc()
-	return el.Value.(*centry).val, true
+	return v, true
 }
 
 // Put installs (or refreshes) k → v, evicting the shard's LRU entry

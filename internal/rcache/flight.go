@@ -18,11 +18,11 @@ type flight struct {
 // Group collapses concurrent identical cache misses into one
 // computation. The first caller for a key becomes the leader and runs
 // fn; callers that arrive while the leader is in flight wait on its
-// result instead of spending their own micro-batch slot. Waiting is
-// ctx-aware: a follower whose own context dies stops waiting, and a
-// follower is handed a leader error only when the leader's work itself
-// failed — the caller decides whether to retry (serve does, when the
-// leader was merely canceled but the follower's context is still live).
+// result instead of computing it again. Waiting is ctx-aware: a
+// follower whose own context dies stops waiting, and a follower is
+// handed a leader error only when the leader's work itself failed — the
+// caller decides whether to retry (serve does, when the leader was
+// merely canceled but the follower's context is still live).
 //
 // The zero value is ready to use; a nil *Group runs every fn directly
 // (no collapsing), mirroring the nil *Cache no-op.

@@ -60,14 +60,14 @@ func benchRequest(name string, tasks int) *PlacementRequest {
 	return req
 }
 
-// BenchmarkServePlaceBatch measures one micro-batched /place evaluation:
-// 8 concurrent requests of 16 tasks each fill a MaxBatch=8 batch, so
-// every iteration is exactly one co-planned MinMakespanPlan over 128
-// tasks — the serve-side inference hot path.
-func BenchmarkServePlaceBatch(b *testing.B) {
+// BenchmarkServePlace measures the in-process /place miss path under
+// concurrency: each iteration sends 8 concurrent requests of 16 tasks
+// each, and the planner answers every one with its own MinMakespanPlan
+// over 16 tasks — the serve-side inference hot path.
+func BenchmarkServePlace(b *testing.B) {
 	sys := benchSystem(b)
 	const requests = 8
-	s := New(Config{MaxBatch: requests, BatchWindow: 50 * time.Millisecond, QueueDepth: 2 * requests})
+	s := New(Config{QueueDepth: 2 * requests})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"merchandiser/internal/obs"
 	"merchandiser/internal/pmc"
@@ -45,12 +44,10 @@ func distinctRequest(n int) *PlacementRequest {
 	return req
 }
 
-// sameResponse compares everything but the Cached flag and BatchSize
-// (a hit replays the original batch's size; a recompute may batch
-// differently).
+// samePlan compares everything but the Cached flag.
 func samePlan(t *testing.T, a, b *PlacementResponse) {
 	t.Helper()
-	if len(a.Tasks) != len(b.Tasks) || a.Rounds != b.Rounds ||
+	if len(a.Tasks) != len(b.Tasks) || a.Rounds != b.Rounds || a.BatchSize != b.BatchSize ||
 		math.Float64bits(a.Makespan) != math.Float64bits(b.Makespan) ||
 		a.ModelVersion != b.ModelVersion || a.ModelSHA256 != b.ModelSHA256 {
 		t.Fatalf("plans differ:\n%+v\n%+v", a, b)
@@ -82,9 +79,6 @@ func TestCacheHitMatchesMiss(t *testing.T) {
 		t.Fatal("identical repeat was not served from cache")
 	}
 	samePlan(t, miss, hit)
-	if hit.BatchSize != miss.BatchSize {
-		t.Fatalf("hit batch size %d != original %d", hit.BatchSize, miss.BatchSize)
-	}
 
 	stats, _ := s.CacheStats()
 	if stats.Hits != 1 || stats.Misses != 1 || stats.Entries != 1 {
@@ -93,9 +87,9 @@ func TestCacheHitMatchesMiss(t *testing.T) {
 	if reg.Counter("serve.cache_hits").Value() != 1 {
 		t.Fatal("obs hit counter not wired")
 	}
-	// The hit skipped the batcher: only one batch ever ran.
+	// The hit skipped the planner: only one plan ever ran.
 	if got := reg.Counter("serve.batches").Value(); got != 1 {
-		t.Fatalf("batches = %v, want 1", got)
+		t.Fatalf("plans = %v, want 1", got)
 	}
 	if got := reg.Counter("serve.requests").Value(); got != 2 {
 		t.Fatalf("requests = %v, want 2", got)
@@ -145,11 +139,12 @@ func TestCachePermutedRequestHits(t *testing.T) {
 }
 
 func TestCacheSingleflightCollapse(t *testing.T) {
-	// A long batch window parks the leader in the batcher while the
-	// followers arrive; every one of them must ride the leader's flight
-	// (or hit the cache right after it lands) — exactly one task planned.
+	// The leader's plan is held in the planner until every follower has
+	// parked on its live flight — exactly one task planned.
 	reg := obs.New()
-	s := cacheService(t, Config{CacheEntries: 64, Obs: reg, BatchWindow: 100 * time.Millisecond})
+	hold := newPlanHold()
+	s := cacheService(t, Config{CacheEntries: 64, Obs: reg, PlanLog: hold.log})
+	defer hold.Release()
 	req := distinctRequest(1)
 
 	const n = 12
@@ -163,6 +158,11 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 			outs[i], errs[i] = s.Place(context.Background(), req)
 		}(i)
 	}
+	waitUntil(t, "followers parked on the leader's flight", func() bool {
+		_, collapsed := s.CacheStats()
+		return len(hold.logged()) == 1 && collapsed == n-1
+	})
+	hold.Release()
 	wg.Wait()
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {

@@ -17,7 +17,7 @@ const maxBodyBytes = 1 << 20
 // HTTPConfig tunes the HTTP front of the service.
 type HTTPConfig struct {
 	// RequestTimeout caps how long one /place request may wait for its
-	// batch (queue wait + evaluation). 0 disables the per-request
+	// plan (queue wait + evaluation). 0 disables the per-request
 	// deadline. Expired requests answer 504.
 	RequestTimeout time.Duration
 }

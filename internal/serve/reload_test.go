@@ -168,7 +168,7 @@ func runReloadUnderFire(t *testing.T, cacheEntries int) {
 	if err := reg.Promote("v000"); err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{QueueDepth: 512, BatchWindow: 200 * time.Microsecond, Source: registrySource(reg), CacheEntries: cacheEntries})
+	s := New(Config{QueueDepth: 512, Source: registrySource(reg), CacheEntries: cacheEntries})
 	if _, _, err := s.Reload(context.Background()); err != nil {
 		t.Fatal(err)
 	}

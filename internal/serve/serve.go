@@ -4,12 +4,13 @@
 // "train once, serve many" split (offline correlation-function training,
 // online Algorithm 1 planning).
 //
-// Requests flow through a bounded queue into a single batcher goroutine
-// that micro-batches concurrent requests into one MinMakespanPlan
-// evaluation: the tasks of every request in a batch are co-planned over
-// the system's DRAM capacity, exactly as tasks between two global
-// synchronization points are in the paper. Backpressure is explicit — a
-// full queue rejects with merr.ErrCapacity (HTTP 429) instead of
+// Requests flow through a bounded queue into a single planner goroutine
+// that answers them one at a time, each with its own MinMakespanPlan
+// over the system's full DRAM capacity: one request is the tasks of one
+// application between two synchronization points, exactly what
+// Algorithm 1 splits a node's DRAM across in the paper. A plan
+// therefore depends only on (model, request). Backpressure is explicit
+// — a full queue rejects with merr.ErrCapacity (HTTP 429) instead of
 // queueing unboundedly — and shutdown is graceful: draining stops new
 // admissions while every in-flight request still gets its answer.
 package serve
@@ -35,7 +36,7 @@ import (
 	"merchandiser/internal/store"
 )
 
-// Request caps, defending the shared batcher against one oversized
+// Request caps, defending the shared planner against one oversized
 // client.
 const (
 	maxTasksPerRequest = 256
@@ -73,15 +74,15 @@ type TaskPlacement struct {
 	Predicted    float64 `json:"predicted_seconds"`
 }
 
-// PlacementResponse is the plan for one request. BatchSize reports how
-// many requests were co-planned in the same MinMakespanPlan evaluation —
-// the observable footprint of micro-batching. ModelVersion and
-// ModelSHA256 identify the artifact whose model planned this batch, so a
-// client behind a mixed-version fleet can tell which model answered.
-// Cached marks a response that skipped the batcher: served from the
-// response cache or collapsed into another caller's identical in-flight
-// request. It is omitted when false, so the cache-off wire format is
-// byte-identical to a build without the cache.
+// PlacementResponse is the plan for one request. BatchSize is always 1:
+// every request is planned alone; the field stays in the wire format
+// for clients that read it. ModelVersion and ModelSHA256 identify the
+// artifact whose model planned this request, so a client behind a
+// mixed-version fleet can tell which model answered. Cached marks a
+// response that skipped the planner: served from the response cache or
+// collapsed into another caller's identical in-flight request. It is
+// omitted when false, so the cache-off wire format is byte-identical to
+// a build without the cache.
 type PlacementResponse struct {
 	Tasks        []TaskPlacement `json:"tasks"`
 	Rounds       int             `json:"rounds"`
@@ -166,30 +167,29 @@ func (t *TaskRequest) toInput() placement.TaskInput {
 
 // Config tunes the service.
 type Config struct {
-	// QueueDepth bounds how many requests may wait for the batcher; an
+	// QueueDepth bounds how many requests may wait for the planner; an
 	// overflowing queue rejects with merr.ErrCapacity. Default 64.
 	QueueDepth int
-	// MaxBatch caps how many requests one MinMakespanPlan evaluation
-	// co-plans. Default 16.
+	// Deprecated: ignored; every request is planned alone.
 	MaxBatch int
-	// BatchWindow is how long the batcher holds an open batch for more
-	// requests after the first arrives. Default 2ms.
+	// Deprecated: ignored; every request is planned alone.
 	BatchWindow time.Duration
 	// Tolerance is MinMakespanPlan's binary-search tolerance. Default 0.01.
 	Tolerance float64
 	// CacheEntries bounds the placement-response cache: responses are
 	// cached under (model SHA-256, canonical request hash), so a hit skips
-	// the batcher entirely and a model promotion orphans every old entry.
+	// the planner entirely and a model promotion orphans every old entry.
 	// 0 (the default) disables the cache; disabled, the service behaves
 	// byte-identically to a build without it.
 	CacheEntries int
 	// Obs, when non-nil, receives service metrics (request, rejection and
-	// batch counters, batch-size histogram). It is also what /metricsz
-	// serves.
+	// plan counters; serve.batches counts plans, one per planned
+	// request). It is also what /metricsz serves.
 	Obs *obs.Registry
-	// PlanLog, when non-nil, receives every batch's plan record (the
-	// artifact-store form) after a successful evaluation. Called from the
-	// batcher goroutine; keep it fast.
+	// PlanLog, when non-nil, receives one plan record (the artifact-store
+	// form) per planned request, after its plan succeeds and before its
+	// caller is answered. Called from the single planner goroutine, one
+	// record at a time; keep it fast.
 	PlanLog func(*store.PlanRecord)
 	// Source, when non-nil, resolves where the next Reload should restore
 	// from: an artifact path plus its version name (e.g. the registry's
@@ -204,19 +204,13 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	if c.Tolerance <= 0 {
 		c.Tolerance = 0.01
 	}
 	return c
 }
 
-// pending is one enqueued request. resp is buffered so the batcher never
+// pending is one enqueued request. resp is buffered so the planner never
 // blocks on a caller that already gave up.
 type pending struct {
 	ctx  context.Context
@@ -231,7 +225,7 @@ type result struct {
 
 // loadedModel bundles everything one artifact load installs: the system,
 // its identity, and its optional epoch provenance. The bundle swaps as a
-// single pointer, so a batch can never pair one model's plan with
+// single pointer, so a plan can never pair one model's answer with
 // another model's version stamp.
 type loadedModel struct {
 	sys    *merchandiser.System
@@ -240,7 +234,7 @@ type loadedModel struct {
 }
 
 // Service is the placement daemon core: an optional loaded system, a
-// bounded queue, and one batcher goroutine. Create with New, feed it a
+// bounded queue, and one planner goroutine. Create with New, feed it a
 // system via Load or LoadArtifact, swap it live with Reload, stop it
 // with Shutdown.
 type Service struct {
@@ -268,7 +262,7 @@ type Service struct {
 	hashers sync.Pool
 }
 
-// New builds the service and starts its batcher.
+// New builds the service and starts its planner.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
@@ -281,7 +275,7 @@ func New(cfg Config) *Service {
 		s.flight = &rcache.Group{}
 		s.hashers.New = func() any { return rcache.NewHasher() }
 	}
-	go s.batcher()
+	go s.planner()
 	return s
 }
 
@@ -291,10 +285,10 @@ func (s *Service) Load(sys *merchandiser.System) {
 	s.install(&loadedModel{sys: sys})
 }
 
-// install atomically swaps the serving bundle. The batcher reads the
-// bundle once per micro-batch, so the swap lands exactly between
-// batches: every request already picked up by the batcher is answered by
-// the model that planned it, and /readyz never observes a nil system.
+// install atomically swaps the serving bundle. The planner reads the
+// bundle once per plan, so the swap lands exactly between plans: every
+// request already picked up by the planner is answered by the model
+// that planned it, and /readyz never observes a nil system.
 func (s *Service) install(lm *loadedModel) {
 	s.sysMu.Lock()
 	s.cur = lm
@@ -366,7 +360,7 @@ func (s *Service) restoreBundle(ctx context.Context, path, version string, opts 
 
 // Reload re-resolves Config.Source and, if it names bytes different from
 // what is serving, restores the artifact in the background and swaps it
-// in between micro-batches — zero admitted requests dropped, /readyz
+// in between plans — zero admitted requests dropped, /readyz
 // never flaps. It returns the (possibly unchanged) loaded info and
 // whether a swap happened. Concurrent Reloads serialize.
 func (s *Service) Reload(ctx context.Context) (ModelInfo, bool, error) {
@@ -442,10 +436,10 @@ func (s *Service) loaded() *loadedModel {
 
 // Place answers one placement request. It validates, consults the
 // response cache when one is configured (a hit or a collapse into an
-// identical in-flight request skips the batcher entirely), then
+// identical in-flight request skips the planner entirely), then
 // enqueues (rejecting with merr.ErrCapacity on overflow and
 // merr.ErrNotReady before an artifact is loaded or during drain) and
-// waits for the batcher — or for ctx, returning merr.ErrCanceled if the
+// waits for the planner — or for ctx, returning merr.ErrCanceled if the
 // caller gives up first.
 func (s *Service) Place(ctx context.Context, req *PlacementRequest) (*PlacementResponse, error) {
 	if err := validRequest(req); err != nil {
@@ -462,7 +456,7 @@ func (s *Service) Place(ctx context.Context, req *PlacementRequest) (*PlacementR
 	}
 	// A Load-installed system has no artifact SHA: no key half, no
 	// caching. The key's SHA comes from the same bundle pointer the
-	// batcher reads, so a promote mid-request can only make us miss and
+	// planner reads, so a promote mid-request can only make us miss and
 	// recompute — never serve the new model's plan under the old key.
 	if s.cache == nil || cur.info.SHA256 == "" {
 		return s.placeQueued(ctx, req)
@@ -471,7 +465,7 @@ func (s *Service) Place(ctx context.Context, req *PlacementRequest) (*PlacementR
 }
 
 // placeQueued is the uncached request path: enqueue and wait for the
-// batcher. It is byte-for-byte the pre-cache Place tail.
+// planner. It is byte-for-byte the pre-cache Place tail.
 func (s *Service) placeQueued(ctx context.Context, req *PlacementRequest) (*PlacementResponse, error) {
 	p := &pending{ctx: ctx, req: req, resp: make(chan result, 1)}
 	if err := s.enqueue(p); err != nil {
@@ -494,7 +488,6 @@ type cachedPlan struct {
 	tasks    []TaskPlacement
 	rounds   int
 	makespan float64
-	batch    int
 	version  string
 	sha      string
 }
@@ -507,7 +500,6 @@ func canonicalPlan(out *PlacementResponse, perm []int) *cachedPlan {
 		tasks:    make([]TaskPlacement, len(out.Tasks)),
 		rounds:   out.Rounds,
 		makespan: out.Makespan,
-		batch:    out.BatchSize,
 		version:  out.ModelVersion,
 		sha:      out.ModelSHA256,
 	}
@@ -523,7 +515,7 @@ func (cp *cachedPlan) response(perm []int, cached bool) *PlacementResponse {
 		Tasks:        make([]TaskPlacement, len(cp.tasks)),
 		Rounds:       cp.rounds,
 		Makespan:     cp.makespan,
-		BatchSize:    cp.batch,
+		BatchSize:    1,
 		ModelVersion: cp.version,
 		ModelSHA256:  cp.sha,
 		Cached:       cached,
@@ -536,7 +528,7 @@ func (cp *cachedPlan) response(perm []int, cached bool) *PlacementResponse {
 
 // placeCached is the cached request path: hash the request, look up
 // (model SHA, request hash), and on a miss collapse into any identical
-// in-flight computation before spending a micro-batch slot.
+// in-flight computation before queueing for the planner.
 func (s *Service) placeCached(ctx context.Context, req *PlacementRequest, modelSHA string) (*PlacementResponse, error) {
 	h := s.hashers.Get().(*rcache.Hasher)
 	digest, perm := h.Hash(req)
@@ -559,8 +551,8 @@ func (s *Service) placeCached(ctx context.Context, req *PlacementRequest, modelS
 		}
 		cp := canonicalPlan(out, permCopy)
 		// Store only under the SHA that actually answered: a reload can
-		// swap the bundle between our key derivation and the batch that
-		// planned us, and caching that response under the old SHA would
+		// swap the bundle between our key derivation and the plan that
+		// answered us, and caching that response under the old SHA would
 		// serve the new model's plan after a rollback.
 		if out.ModelSHA256 == key.Model {
 			s.cache.Put(key, cp)
@@ -610,8 +602,8 @@ func (s *Service) enqueue(p *pending) error {
 }
 
 // Shutdown drains the service: new requests are rejected immediately,
-// every request already admitted is answered, and the batcher goroutine
-// exits. It returns once the drain completes or ctx expires (the batcher
+// every request already admitted is answered, and the planner goroutine
+// exits. It returns once the drain completes or ctx expires (the planner
 // keeps draining in the background either way).
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
@@ -628,77 +620,43 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	}
 }
 
-// batcher is the single consumer: it collects up to MaxBatch requests
-// per BatchWindow and plans them together.
-func (s *Service) batcher() {
+// planner is the single consumer: it answers queued requests one at a
+// time, in arrival order.
+func (s *Service) planner() {
 	defer close(s.done)
-	for first := range s.queue {
-		batch := []*pending{first}
-		timer := time.NewTimer(s.cfg.BatchWindow)
-	collect:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case p, ok := <-s.queue:
-				if !ok {
-					break collect
-				}
-				batch = append(batch, p)
-			case <-timer.C:
-				break collect
-			}
-		}
-		timer.Stop()
-		s.runBatch(batch)
+	for p := range s.queue {
+		s.plan(p)
 	}
 }
 
-// runBatch co-plans every live request in the batch with one
-// MinMakespanPlan evaluation and splits the plan back per request.
-func (s *Service) runBatch(batch []*pending) {
-	// Callers that gave up while queued drop out of the batch; their
-	// Place already returned, and the buffered send below cannot block.
-	live := batch[:0]
-	for _, p := range batch {
-		if err := merr.FromContext(p.ctx, "serve: request canceled in queue"); err != nil {
-			p.resp <- result{err: err}
-			continue
-		}
-		live = append(live, p)
-	}
-	if len(live) == 0 {
+// plan answers one request with MinMakespanPlan over that request's
+// tasks and the full DRAM capacity.
+func (s *Service) plan(p *pending) {
+	// A caller that gave up while queued already returned from Place;
+	// the buffered send below cannot block.
+	if err := merr.FromContext(p.ctx, "serve: request canceled in queue"); err != nil {
+		p.resp <- result{err: err}
 		return
 	}
-	// One bundle read per batch: the whole batch plans on one model and
-	// is stamped with that model's identity. A concurrent Reload swaps
-	// the bundle pointer, so its new model takes effect at the next
-	// batch boundary — never mid-batch.
+	// One bundle read per plan: the request plans on one model and is
+	// stamped with that model's identity. A concurrent Reload swaps the
+	// bundle pointer, so its new model takes effect at the next plan —
+	// never mid-plan.
 	cur := s.loaded()
 	if cur == nil {
-		for _, p := range live {
-			p.resp <- result{err: merr.Errorf(merr.ErrNotReady, "serve: no artifact loaded")}
-		}
+		p.resp <- result{err: merr.Errorf(merr.ErrNotReady, "serve: no artifact loaded")}
 		return
 	}
-	sys := cur.sys
-
-	var tasks []placement.TaskInput
-	offsets := make([]int, len(live)+1)
-	for i, p := range live {
-		for j := range p.req.Tasks {
-			tasks = append(tasks, p.req.Tasks[j].toInput())
-		}
-		offsets[i+1] = len(tasks)
+	tasks := make([]placement.TaskInput, len(p.req.Tasks))
+	for i := range p.req.Tasks {
+		tasks[i] = p.req.Tasks[i].toInput()
 	}
-	dc := sys.Spec.CapacityPages(hm.DRAM)
-	plan, err := placement.MinMakespanPlan(tasks, dc, sys.Perf, s.cfg.Tolerance)
+	plan, err := placement.MinMakespanPlan(tasks, cur.sys.Spec.CapacityPages(hm.DRAM), cur.sys.Perf, s.cfg.Tolerance)
 	if err != nil {
-		for _, p := range live {
-			p.resp <- result{err: err}
-		}
+		p.resp <- result{err: err}
 		return
 	}
 	s.cfg.Obs.Counter("serve.batches").Inc()
-	s.cfg.Obs.Histogram("serve.batch_size").Observe(float64(len(live)))
 	s.cfg.Obs.Counter("serve.planned_tasks").Add(float64(len(tasks)))
 	if s.cfg.PlanLog != nil {
 		rec := store.PlanRecordFrom(tasks, plan)
@@ -706,24 +664,22 @@ func (s *Service) runBatch(batch []*pending) {
 		rec.ModelSHA256 = cur.info.SHA256
 		s.cfg.PlanLog(rec)
 	}
-	for i, p := range live {
-		lo, hi := offsets[i], offsets[i+1]
-		out := &PlacementResponse{
-			Rounds:       plan.Rounds,
-			Makespan:     plan.PredictedMakespan(),
-			BatchSize:    len(live),
-			ModelVersion: cur.info.Version,
-			ModelSHA256:  cur.info.SHA256,
-		}
-		for j := lo; j < hi; j++ {
-			out.Tasks = append(out.Tasks, TaskPlacement{
-				Name:         tasks[j].Name,
-				DRAMAccesses: plan.DRAMAccesses[j],
-				GoalRatio:    plan.GoalRatio[j],
-				DRAMPages:    plan.DRAMPages[j],
-				Predicted:    plan.Predicted[j],
-			})
-		}
-		p.resp <- result{out: out}
+	out := &PlacementResponse{
+		Tasks:        make([]TaskPlacement, len(tasks)),
+		Rounds:       plan.Rounds,
+		Makespan:     plan.PredictedMakespan(),
+		BatchSize:    1,
+		ModelVersion: cur.info.Version,
+		ModelSHA256:  cur.info.SHA256,
 	}
+	for j, t := range tasks {
+		out.Tasks[j] = TaskPlacement{
+			Name:         t.Name,
+			DRAMAccesses: plan.DRAMAccesses[j],
+			GoalRatio:    plan.GoalRatio[j],
+			DRAMPages:    plan.DRAMPages[j],
+			Predicted:    plan.Predicted[j],
+		}
+	}
+	p.resp <- result{out: out}
 }

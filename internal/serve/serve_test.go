@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -73,6 +75,96 @@ func shutdown(t *testing.T, s *Service) {
 	}
 }
 
+// planAlone is the answer the service owes req: MinMakespanPlan on
+// req's tasks alone, over the full DRAM capacity at the service's
+// default tolerance, stamped with info.
+func planAlone(t *testing.T, sys *merchandiser.System, req *PlacementRequest, info ModelInfo) *PlacementResponse {
+	t.Helper()
+	tasks := make([]placement.TaskInput, len(req.Tasks))
+	for i := range req.Tasks {
+		tasks[i] = req.Tasks[i].toInput()
+	}
+	plan, err := placement.MinMakespanPlan(tasks, sys.Spec.CapacityPages(hm.DRAM), sys.Perf, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &PlacementResponse{
+		Rounds:       plan.Rounds,
+		Makespan:     plan.PredictedMakespan(),
+		BatchSize:    1,
+		ModelVersion: info.Version,
+		ModelSHA256:  info.SHA256,
+	}
+	for i, task := range tasks {
+		out.Tasks = append(out.Tasks, TaskPlacement{
+			Name:         task.Name,
+			DRAMAccesses: plan.DRAMAccesses[i],
+			GoalRatio:    plan.GoalRatio[i],
+			DRAMPages:    plan.DRAMPages[i],
+			Predicted:    plan.Predicted[i],
+		})
+	}
+	return out
+}
+
+// sameJSON fails unless got and want encode to the same JSON bytes —
+// every float bit for bit.
+func sameJSON(t *testing.T, what string, got, want *PlacementResponse) {
+	t.Helper()
+	g, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g, w) {
+		t.Fatalf("%s:\n got %s\nwant %s", what, g, w)
+	}
+}
+
+// planHold is a Config.PlanLog that records every plan and parks the
+// planner inside the hook until Release, so a test can line requests up
+// in the queue behind a plan it knows is in flight.
+type planHold struct {
+	mu       sync.Mutex
+	records  []*store.PlanRecord
+	release  chan struct{}
+	released sync.Once
+}
+
+func newPlanHold() *planHold { return &planHold{release: make(chan struct{})} }
+
+func (h *planHold) log(r *store.PlanRecord) {
+	h.mu.Lock()
+	h.records = append(h.records, r)
+	h.mu.Unlock()
+	<-h.release
+}
+
+// Release lets every held and future plan through. It is idempotent,
+// so tests defer it to unblock the planner on a failure path too.
+func (h *planHold) Release() { h.released.Do(func() { close(h.release) }) }
+
+func (h *planHold) logged() []*store.PlanRecord {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]*store.PlanRecord(nil), h.records...)
+}
+
+// waitUntil polls cond until it holds, failing the test after 5s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestPlaceMatchesDirectPlanner(t *testing.T) {
 	sys := testSystem(t)
 	s := New(Config{})
@@ -84,28 +176,7 @@ func TestPlaceMatchesDirectPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var tasks []placement.TaskInput
-	for i := range req.Tasks {
-		tasks = append(tasks, req.Tasks[i].toInput())
-	}
-	want, err := placement.MinMakespanPlan(tasks, sys.Spec.CapacityPages(hm.DRAM), sys.Perf, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Tasks) != 3 || got.Rounds != want.Rounds {
-		t.Fatalf("shape mismatch: %+v vs %+v", got, want)
-	}
-	if math.Float64bits(got.Makespan) != math.Float64bits(want.PredictedMakespan()) {
-		t.Fatalf("makespan differs: %v vs %v", got.Makespan, want.PredictedMakespan())
-	}
-	for i, tp := range got.Tasks {
-		if math.Float64bits(tp.Predicted) != math.Float64bits(want.Predicted[i]) ||
-			tp.DRAMPages != want.DRAMPages[i] ||
-			math.Float64bits(tp.GoalRatio) != math.Float64bits(want.GoalRatio[i]) {
-			t.Fatalf("task %d differs: %+v vs plan row %d", i, tp, i)
-		}
-	}
+	sameJSON(t, "solo request", got, planAlone(t, sys, req, ModelInfo{}))
 }
 
 func TestPlaceNotReady(t *testing.T) {
@@ -155,10 +226,10 @@ func TestPreCanceledContext(t *testing.T) {
 }
 
 func TestQueueOverflowRejectsWithCapacity(t *testing.T) {
-	// A service whose batcher is not running cannot drain its queue, so
+	// A service whose planner is not running cannot drain its queue, so
 	// fills deterministically.
 	s := &Service{
-		cfg:   Config{QueueDepth: 2, MaxBatch: 4, BatchWindow: time.Millisecond, Tolerance: 0.01}.withDefaults(),
+		cfg:   Config{QueueDepth: 2, Tolerance: 0.01}.withDefaults(),
 		queue: make(chan *pending, 2),
 		done:  make(chan struct{}),
 	}
@@ -172,82 +243,150 @@ func TestQueueOverflowRejectsWithCapacity(t *testing.T) {
 	if !errors.Is(err, merr.ErrCapacity) {
 		t.Fatalf("got %v, want ErrCapacity", err)
 	}
-	// Drain manually so a late batcher start cannot leak.
+	// Drain manually so a late planner start cannot leak.
 	close(s.queue)
 	close(s.done)
 }
 
-func TestMicroBatchingCoalescesRequests(t *testing.T) {
-	reg := obs.New()
-	var mu sync.Mutex
-	var logged []*store.PlanRecord
-	s := New(Config{
-		MaxBatch:    8,
-		BatchWindow: 200 * time.Millisecond,
-		Obs:         reg,
-		PlanLog: func(r *store.PlanRecord) {
-			mu.Lock()
-			logged = append(logged, r)
-			mu.Unlock()
-		},
-	})
-	defer shutdown(t, s)
-	s.Load(testSystem(t))
+// loadRequest is request i of TestPlaceIndependentOfConcurrentLoad:
+// two tasks of 150 pages each, distinct from every other i. One alone
+// already oversubscribes testSystem's 128 DRAM pages, so a plan that
+// shared DRAM across requests would shrink every grant.
+func loadRequest(i int) *PlacementRequest {
+	req := &PlacementRequest{}
+	for j := 0; j < 2; j++ {
+		req.Tasks = append(req.Tasks, TaskRequest{
+			Name:           fmt.Sprintf("r%d-t%d", i, j),
+			TPmOnly:        2.0 + 0.3*float64(i) + 0.1*float64(j),
+			TDramOnly:      0.8,
+			Events:         map[string]float64{pmc.SelectedEvents[0]: 0.5},
+			TotalAccesses:  4e6 + 1e5*float64(j),
+			FootprintPages: 150,
+		})
+	}
+	return req
+}
 
-	// Occupy the batcher with one slow-windowed batch start, then land
-	// more requests inside the window.
-	const n = 4
+// placeAll sends every request concurrently and returns the answers in
+// request order. during, when non-nil, runs on the test goroutine while
+// the requests are in flight.
+func placeAll(t *testing.T, s *Service, reqs []*PlacementRequest, during func()) []*PlacementResponse {
+	t.Helper()
+	outs := make([]*PlacementResponse, len(reqs))
+	errs := make([]error, len(reqs))
 	var wg sync.WaitGroup
-	outs := make([]*PlacementResponse, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
+	for i := range reqs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i], errs[i] = s.Place(context.Background(), testRequest("batch", 1))
+			outs[i], errs[i] = s.Place(context.Background(), reqs[i])
 		}(i)
 	}
+	if during != nil {
+		during()
+	}
 	wg.Wait()
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
-		}
-		if len(outs[i].Tasks) != 1 {
-			t.Fatalf("request %d: got %d tasks back", i, len(outs[i].Tasks))
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	maxBatch := 0
-	for _, o := range outs {
-		if o.BatchSize > maxBatch {
-			maxBatch = o.BatchSize
+	return outs
+}
+
+// TestPlaceIndependentOfConcurrentLoad pins that a plan depends only on
+// (model, request). n distinct requests wait in the queue together, on a
+// node whose DRAM each one alone oversubscribes; each must get exactly
+// the answer MinMakespanPlan gives it alone, from one plan of its own.
+// A cache-enabled service must answer the same, then replay the same
+// plans with cached as the only difference.
+func TestPlaceIndependentOfConcurrentLoad(t *testing.T) {
+	sys := testSystem(t)
+	const n = 8
+	reqs := make([]*PlacementRequest, n)
+	for i := range reqs {
+		reqs[i] = loadRequest(i)
+	}
+	// queued holds the planner in its first plan until all n requests
+	// are admitted, so the other n-1 wait in the queue together.
+	queued := func(reg *obs.Registry, hold *planHold, requests float64) func() {
+		return func() {
+			waitUntil(t, "requests queued behind the first plan", func() bool {
+				return len(hold.logged()) == 1 && reg.Counter("serve.requests").Value() == requests
+			})
+			hold.Release()
 		}
 	}
-	if maxBatch < 2 {
-		t.Fatalf("no micro-batching observed: max batch size %d", maxBatch)
+
+	reg := obs.New()
+	hold := newPlanHold()
+	s := New(Config{Obs: reg, PlanLog: hold.log})
+	defer shutdown(t, s)
+	defer hold.Release()
+	s.Load(sys)
+	outs := placeAll(t, s, reqs, queued(reg, hold, n))
+	for i, out := range outs {
+		sameJSON(t, fmt.Sprintf("request %d", i), out, planAlone(t, sys, reqs[i], ModelInfo{}))
 	}
 	if got := reg.Counter("serve.requests").Value(); got != n {
 		t.Fatalf("request counter %v, want %v", got, n)
 	}
-	if got := reg.Counter("serve.batches").Value(); got >= n {
-		t.Fatalf("batch counter %v means no coalescing happened", got)
+	if got := reg.Counter("serve.batches").Value(); got != n {
+		t.Fatalf("%v plans for %d requests, want one each", got, n)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(logged) == 0 {
-		t.Fatal("plan log received nothing")
+	// The plan log holds one record per request, naming exactly that
+	// request's tasks.
+	recs := hold.logged()
+	if len(recs) != n {
+		t.Fatalf("plan log has %d records, want %d", len(recs), n)
 	}
-	total := 0
-	for _, r := range logged {
-		total += len(r.Tasks)
+	seen := map[string]bool{}
+	for _, r := range recs {
+		seen[strings.Join(r.Tasks, ",")] = true
 	}
-	if total != n {
-		t.Fatalf("plan log covers %d tasks, want %d", total, n)
+	for i, req := range reqs {
+		names := make([]string, len(req.Tasks))
+		for j, task := range req.Tasks {
+			names[j] = task.Name
+		}
+		if !seen[strings.Join(names, ",")] {
+			t.Fatalf("no plan record holds exactly request %d's tasks %v", i, names)
+		}
+	}
+
+	// The same load on a cache-enabled replica of the same system: the
+	// misses plan alone, and a concurrent repeat replays those plans.
+	path := filepath.Join(t.TempDir(), "sys.merch")
+	if err := sys.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	creg := obs.New()
+	chold := newPlanHold()
+	cs := New(Config{Obs: creg, PlanLog: chold.log, CacheEntries: 64})
+	defer shutdown(t, cs)
+	defer chold.Release()
+	if _, err := cs.LoadArtifactAs(context.Background(), path, "v1"); err != nil {
+		t.Fatal(err)
+	}
+	misses := placeAll(t, cs, reqs, queued(creg, chold, n))
+	hits := placeAll(t, cs, reqs, nil)
+	for i := range reqs {
+		want := planAlone(t, sys, reqs[i], cs.Info())
+		sameJSON(t, fmt.Sprintf("cache miss %d", i), misses[i], want)
+		want.Cached = true
+		sameJSON(t, fmt.Sprintf("cache hit %d", i), hits[i], want)
+	}
+	if got := creg.Counter("serve.batches").Value(); got != n {
+		t.Fatalf("cache-enabled replica ran %v plans for %d distinct requests, want one each", got, n)
 	}
 }
 
 func TestGracefulDrainCompletesInFlight(t *testing.T) {
 	before := runtime.NumGoroutine()
-	s := New(Config{BatchWindow: 50 * time.Millisecond})
+	reg := obs.New()
+	hold := newPlanHold()
+	defer hold.Release()
+	s := New(Config{Obs: reg, PlanLog: hold.log})
 	s.Load(testSystem(t))
 
 	const n = 3
@@ -261,11 +400,21 @@ func TestGracefulDrainCompletesInFlight(t *testing.T) {
 			outs[i], errs[i] = s.Place(context.Background(), testRequest("drain", 1))
 		}(i)
 	}
-	// Give the requests time to enqueue, then drain.
-	time.Sleep(10 * time.Millisecond)
+	// Park the planner in the first plan with the others still queued,
+	// then drain: the queued requests must be answered too.
+	waitUntil(t, "requests queued behind the first plan", func() bool {
+		return len(hold.logged()) == 1 && reg.Counter("serve.requests").Value() == n
+	})
+	if got := len(s.queue); got != n-1 {
+		t.Fatalf("%d requests queued when the drain starts, want %d", got, n-1)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	drained := make(chan error, 1)
+	go func() { drained <- s.Shutdown(ctx) }()
+	waitUntil(t, "the drain to start", func() bool { return !s.Ready() })
+	hold.Release()
+	if err := <-drained; err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

@@ -3,7 +3,7 @@
 # concurrency-bearing packages (root session pipeline, corpus worker
 # pool, parallel ml fitting, memoized placement, pooled evaluation
 # matrix, observability registries shared across workers, the serving
-# daemon's batcher, the epoch re-plan lifecycle and the multi-tenant
+# daemon's planner, the epoch re-plan lifecycle and the multi-tenant
 # quota ledger) under the race detector, hold the compiled
 # inference engine to zero allocations per single-point predict and
 # smoke its pointer-vs-compiled benchmarks, smoke the compile-tree,

@@ -226,8 +226,8 @@ func runLeg(daemon, gateBin string, cacheEntries int) {
 	log.Print("fleet drained cleanly")
 
 	// Audit trail: each replica's plan log must show v1 plans strictly
-	// before v2 plans (the batch-boundary swap), every record carrying the
-	// artifact SHA the registry recorded.
+	// before v2 plans (the swap lands between plans), every record
+	// carrying the artifact SHA the registry recorded.
 	want := map[string]string{}
 	for _, v := range []string{"v1", "v2"} {
 		ent, err := reg.Verify(v)
@@ -332,7 +332,7 @@ func auditVersions(dir string, want map[string]string) []string {
 		log.Fatalf("plan log %s is empty", dir)
 	}
 	var versions []string
-	for _, e := range entries { // ReadDir sorts by name = batch sequence
+	for _, e := range entries { // ReadDir sorts by name = plan sequence
 		a, err := store.ReadFile(filepath.Join(dir, e.Name()))
 		check(err, "decode plan artifact")
 		rec, err := a.Plan()
@@ -386,7 +386,7 @@ func waitForVersions(dirs []string, version string, timeout time.Duration) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	log.Fatalf("not every replica served a %s-planned batch within %s", version, timeout)
+	log.Fatalf("not every replica served a %s-planned request within %s", version, timeout)
 }
 
 // waitForFleetVersion waits until the gate's /fleetz shows every replica

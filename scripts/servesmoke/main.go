@@ -1,7 +1,7 @@
 // Command servesmoke is check.sh's end-to-end save/load/serve smoke
 // test: it checkpoints a System to an artifact, starts a real
 // merchserved process on a free port, verifies /healthz, /readyz,
-// /metricsz and one batched /place request, then SIGTERMs the daemon
+// /metricsz and one /place request, then SIGTERMs the daemon
 // and asserts a clean drain (exit code 0) and a decodable plan log.
 //
 //	go build -o bin/merchserved ./cmd/merchserved
@@ -77,7 +77,7 @@ func main() {
 	expectGet(base+"/healthz", http.StatusOK)
 	expectGet(base+"/metricsz", http.StatusOK)
 
-	// One placement request through the batch path.
+	// One placement request through the planner, planned alone.
 	req := serve.PlacementRequest{Tasks: []serve.TaskRequest{{
 		Name: "smoke", TPmOnly: 2.0, TDramOnly: 0.8,
 		TotalAccesses: 4e6, FootprintPages: 300,
@@ -92,13 +92,13 @@ func main() {
 	if resp.StatusCode != http.StatusOK {
 		log.Fatalf("/place answered %d", resp.StatusCode)
 	}
-	if len(out.Tasks) != 1 || out.Tasks[0].Name != "smoke" || out.BatchSize < 1 {
+	if len(out.Tasks) != 1 || out.Tasks[0].Name != "smoke" || out.BatchSize != 1 {
 		log.Fatalf("/place returned a bad plan: %+v", out)
 	}
 	if out.Tasks[0].Predicted <= 0 || out.Makespan <= 0 {
 		log.Fatalf("/place predicted nothing: %+v", out)
 	}
-	log.Printf("placement served (batch size %d, makespan %.3fs)", out.BatchSize, out.Makespan)
+	log.Printf("placement served (makespan %.3fs)", out.Makespan)
 
 	// An invalid request must answer 400, not crash the daemon.
 	resp, err = http.Post(base+"/place", "application/json", strings.NewReader(`{"tasks":[{"name":"bad","t_pm_only":-1}]}`))

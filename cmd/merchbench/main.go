@@ -14,7 +14,6 @@
 //	merchbench -exp replan -quick        # PhaseShift epoch re-planning study
 //	merchbench -exp cosched -tenants spgemm=1228,bfs=512   # multi-tenant quota study
 //	merchbench -replan drift -exp fig4   # run Merchandiser cells with drift re-planning
-//	merchbench -exp replan -bench-replan BENCH_8.json -quick   # re-planning benchmark report
 //	merchbench -exp none -quick -save sys.artifact -registry /var/merch -publish v1 -promote   # train, publish, promote
 //	merchbench -exp fig4 -out results/   # relative outputs land under results/
 //	merchbench -exp fig4 -cpuprofile cpu.pb.gz   # CPU profile of the run
@@ -56,15 +55,13 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write the deterministic metrics dump (per-cell registry snapshots) to this file")
 	tracePath := flag.String("trace", "", "write a chrome-trace event log of the evaluation to this file")
 	policies := flag.String("policy", "", "comma-separated policy names to evaluate (default: all registered; see -policy list)")
-	benchOut := flag.String("bench-out", "", "write the stable timing/benchmark report (schema "+experiments.BenchSchema+") to this file")
 	cvFlag := flag.Bool("cv", false, "also run the k-fold feature-subset search (pipelined runs overlap it with evaluation)")
 	outDir := flag.String("out", "", "directory for output files; relative -json/-metrics/-trace/-save paths are placed under it instead of the CWD")
 	savePath := flag.String("save", "", "after training, checkpoint the system (spec + correlation function) to this artifact file")
 	loadPath := flag.String("load", "", "skip training and restore the system from this artifact file")
-	replanMode := flag.String("replan", "", "Merchandiser re-planning mode for every cell: off, drift or interval (default off — byte-identical to plan-once)")
+	replanMode := flag.String("replan", "", "Merchandiser re-planning mode for every cell: off or drift (default off — byte-identical to plan-once)")
 	replanEpoch := flag.Int("replan-epoch", 0, "epoch length in policy ticks for -replan (0 = default)")
 	tenants := flag.String("tenants", "", "per-tenant DRAM page quotas for -exp cosched as name=pages pairs, e.g. spgemm=1228,bfs=512 (default: a 60/25 split of DRAM)")
-	benchReplan := flag.String("bench-replan", "", "run the PhaseShift re-planning study at Workers=1 and 8, verify they agree exactly, and write the report (schema "+experiments.BenchSchema+") to this file")
 	registryRoot := flag.String("registry", "", "model registry root for -publish/-promote (see cmd/merchserved -registry)")
 	publish := flag.String("publish", "", "with -save and -registry: publish the saved artifact into the registry under this version name")
 	promote := flag.Bool("promote", false, "with -publish: promote the published version to CURRENT (replicas pick it up on SIGHUP or POST /reloadz)")
@@ -93,9 +90,7 @@ func main() {
 	*jsonPath = outPath(*jsonPath)
 	*metricsPath = outPath(*metricsPath)
 	*tracePath = outPath(*tracePath)
-	*benchOut = outPath(*benchOut)
 	*savePath = outPath(*savePath)
-	*benchReplan = outPath(*benchReplan)
 	*cpuProfile = outPath(*cpuProfile)
 	*memProfile = outPath(*memProfile)
 
@@ -160,7 +155,7 @@ func main() {
 
 	needsArtifacts := all || want["table3"] || want["table4"] || want["fig4"] ||
 		want["fig5"] || want["fig6"] || want["fig7"] || want["alpha"] || want["ablations"] ||
-		want["replan"] || want["cosched"] || *benchReplan != ""
+		want["replan"] || want["cosched"]
 	needsEval := all || want["table4"] || want["fig4"] || want["fig5"] ||
 		want["fig6"] || want["alpha"] || *jsonPath != "" || *metricsPath != "" || *tracePath != ""
 
@@ -300,22 +295,13 @@ func main() {
 		_, err := experiments.CXL(ctx, w, cfg)
 		fail(err)
 	}
-	if want["replan"] && *benchReplan == "" { // not part of 'all': new epoch-lifecycle cells, opt-in (-bench-replan prints the same table itself)
+	if want["replan"] { // not part of 'all': new epoch-lifecycle cells, opt-in
 		_, err := experiments.ReplanStudy(ctx, w, art, cfg)
 		fail(err)
 	}
 	if want["cosched"] { // not part of 'all' for the same reason
 		_, err := experiments.MultiTenantStudy(ctx, w, art, cfg, tenantQuotas)
 		fail(err)
-	}
-	if *benchReplan != "" {
-		rep, err := experiments.ReplanBench(ctx, w, art, cfg)
-		fail(err)
-		f, err := os.Create(*benchReplan)
-		fail(err)
-		fail(rep.WriteJSON(f))
-		fail(f.Close())
-		fmt.Fprintf(w, "replan bench report written to %s (drift recovers %.2fx)\n", *benchReplan, rep.SpeedupDrift)
 	}
 
 	if *metricsPath != "" {
@@ -333,11 +319,11 @@ func main() {
 		fmt.Fprintf(w, "trace written to %s\n", *tracePath)
 	}
 
-	resolved := *workers
-	if resolved <= 0 {
-		resolved = runtime.NumCPU()
-	}
 	if *jsonPath != "" {
+		resolved := *workers
+		if resolved <= 0 {
+			resolved = runtime.NumCPU()
+		}
 		sum := experiments.Summarize(art, eval, cfg)
 		sum.Fig3 = fig3Rows
 		sum.Table3 = table3Rows
@@ -350,15 +336,6 @@ func main() {
 		fail(sum.WriteJSON(f))
 		fail(f.Close())
 		fmt.Fprintf(w, "summary written to %s\n", *jsonPath)
-	}
-	if *benchOut != "" {
-		timing := experiments.TimingFromRegistry(reg, resolved, pipelined, art)
-		rep := experiments.NewBenchReport(art, cfg, resolved, timing)
-		f, err := os.Create(*benchOut)
-		fail(err)
-		fail(rep.WriteJSON(f))
-		fail(f.Close())
-		fmt.Fprintf(w, "bench report written to %s\n", *benchOut)
 	}
 }
 

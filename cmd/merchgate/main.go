@@ -13,12 +13,12 @@
 // Endpoints: /healthz (liveness), /readyz (200 while ≥1 replica is
 // routable), /metricsz (gate counters), /fleetz (per-replica health and
 // serving model version/sha), /place (proxied placement request; routed
-// by the X-Merch-Key header, else the first task's name).
+// by the X-Merch-Key header, else the first task's name). A request
+// whose primary replica fails to connect hops to at most two further
+// ring nodes; two consecutive failures eject a replica.
 //
-// With -loadgen the binary is a replay load generator instead of a
-// server: it drives a deterministic ~1M-request synthetic trace at
-// -target and reports throughput and p50/p90/p99, optionally as a
-// merchbench/bench/v1 JSON report (-bench-out).
+// The repo's one benchmark, perfbench, measures the gate under load
+// (see perfbench/README.md).
 package main
 
 import (
@@ -40,43 +40,13 @@ import (
 
 func main() {
 	addr := flag.String("addr", "localhost:8070", "listen address (host:port; port 0 picks a free port)")
-	backends := flag.String("backends", "", "comma-separated replica base URLs (required unless -loadgen)")
-	vnodes := flag.Int("vnodes", 128, "virtual nodes per replica on the hash ring")
-	retries := flag.Int("retries", 2, "max additional ring nodes to try after the primary fails")
+	backends := flag.String("backends", "", "comma-separated replica base URLs (required)")
 	probe := flag.Duration("probe", 250*time.Millisecond, "/readyz health-probe interval")
-	eject := flag.Int("eject", 2, "consecutive probe failures that eject a replica")
 	readmit := flag.Int("readmit", 2, "consecutive probe successes that re-admit a replica")
 	timeout := flag.Duration("timeout", 15*time.Second, "per proxied request timeout")
 	cacheEntries := flag.Int("cache-entries", 0, "gate response-cache capacity: identical requests are answered from cached replica bodies while the fleet serves one model SHA (0 disables)")
 	addrfile := flag.String("addrfile", "", "write the bound listen address to this file once serving")
-
-	loadgen := flag.Bool("loadgen", false, "run as a replay load generator instead of a server")
-	target := flag.String("target", "", "loadgen: base URL to drive (a merchgate or a bare merchserved)")
-	requests := flag.Int("requests", 1_000_000, "loadgen: trace length")
-	workers := flag.Int("workers", 32, "loadgen: closed-loop client count")
-	apps := flag.Int("apps", 64, "loadgen: synthetic application (hash key) universe size")
-	tasks := flag.Int("tasks", 8, "loadgen: tasks per placement request")
-	seed := flag.Int64("seed", 1, "loadgen: trace seed")
-	replicas := flag.Int("replicas", 1, "loadgen: fleet replica count, recorded in report row keys")
-	zipf := flag.Float64("zipf", 0, "loadgen: Zipf skew exponent for app selection (0 = uniform legacy draw; ~1.1 = hot-app web-traffic shape)")
-	rowTag := flag.String("row-tag", "", "loadgen: extra report row-key segment (e.g. cache=on_zipf=1.1_)")
-	benchOut := flag.String("bench-out", "", "loadgen: write a merchbench/bench/v1 JSON report here")
 	flag.Parse()
-
-	if *loadgen {
-		runLoadgen(gate.LoadgenConfig{
-			Target:          strings.TrimRight(*target, "/"),
-			Requests:        *requests,
-			Workers:         *workers,
-			Apps:            *apps,
-			TasksPerRequest: *tasks,
-			Seed:            *seed,
-			Replicas:        *replicas,
-			ZipfS:           *zipf,
-			Tag:             *rowTag,
-		}, *benchOut)
-		return
-	}
 
 	var urls []string
 	for _, b := range strings.Split(*backends, ",") {
@@ -91,10 +61,7 @@ func main() {
 	obs := merchandiser.NewObserver()
 	g := gate.New(gate.Config{
 		Backends:       urls,
-		VNodes:         *vnodes,
-		Retries:        *retries,
 		HealthInterval: *probe,
-		EjectAfter:     *eject,
 		ReadmitAfter:   *readmit,
 		Timeout:        *timeout,
 		CacheEntries:   *cacheEntries,
@@ -129,35 +96,5 @@ func main() {
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("merchgate: http drain: %v", err)
-	}
-}
-
-func runLoadgen(cfg gate.LoadgenConfig, benchOut string) {
-	if cfg.Target == "" {
-		log.Fatal("merchgate: -loadgen requires -target")
-	}
-	log.Printf("replaying %d requests (%d workers, %d apps) against %s",
-		cfg.Requests, cfg.Workers, cfg.Apps, cfg.Target)
-	res, err := gate.RunLoadgen(context.Background(), cfg)
-	if err != nil {
-		log.Fatalf("merchgate: loadgen: %v", err)
-	}
-	log.Printf("done in %s: %.0f req/s, errors=%d, p50=%.0fµs p90=%.0fµs p99=%.0fµs",
-		res.Elapsed.Round(time.Millisecond), res.ThroughputRPS, res.Errors, res.P50, res.P90, res.P99)
-	if res.Errors > 0 {
-		defer os.Exit(1)
-	}
-	if benchOut != "" {
-		f, err := os.Create(benchOut)
-		if err != nil {
-			log.Fatalf("merchgate: %v", err)
-		}
-		if err := res.BenchReport(cfg).WriteJSON(f); err != nil {
-			log.Fatalf("merchgate: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("merchgate: %v", err)
-		}
-		log.Printf("bench report written to %s", benchOut)
 	}
 }

@@ -102,7 +102,7 @@ func main() {
 	}
 	svc := serve.New(cfg)
 
-	// LoadArtifact times the restore into serve.restore_seconds, so
+	// LoadArtifactAs times the restore into serve.restore_seconds, so
 	// /metricsz exposes the daemon's cold-start cost (binary-format
 	// artifacts make it near-constant in model size).
 	start := time.Now()
@@ -113,13 +113,13 @@ func main() {
 		if rerr != nil {
 			log.Fatalf("merchserved: %v (publish and promote a version with merchbench -publish -promote)", rerr)
 		}
-		sys, err = svc.LoadArtifactAs(context.Background(), ent.Path, ent.Version, merchandiser.WithObserver(reg))
+		sys, err = svc.LoadArtifactAs(context.Background(), ent.Path, ent.Version)
 		if err == nil {
 			log.Printf("registry %s version %s loaded in %s: level=%s samples=%d heldout-R²=%.3f",
 				*registryRoot, ent.Version, time.Since(start).Round(time.Microsecond), sys.Meta.Level, sys.Meta.Samples, sys.TrainedR2)
 		}
 	} else {
-		sys, err = svc.LoadArtifact(context.Background(), *artifact, merchandiser.WithObserver(reg))
+		sys, err = svc.LoadArtifactAs(context.Background(), *artifact, filepath.Base(*artifact))
 		if err == nil {
 			log.Printf("artifact %s loaded in %s: level=%s samples=%d heldout-R²=%.3f",
 				*artifact, time.Since(start).Round(time.Microsecond), sys.Meta.Level, sys.Meta.Samples, sys.TrainedR2)

@@ -19,9 +19,6 @@ const (
 	// makespan projection drifts past DriftThreshold over the plan's
 	// prediction.
 	ReplanDrift
-	// ReplanInterval re-plans at every epoch boundary regardless of
-	// drift (the fixed-interval ablation).
-	ReplanInterval
 )
 
 // String implements fmt.Stringer with the flag spellings.
@@ -29,8 +26,6 @@ func (m ReplanMode) String() string {
 	switch m {
 	case ReplanDrift:
 		return "drift"
-	case ReplanInterval:
-		return "interval"
 	default:
 		return "off"
 	}
@@ -43,10 +38,8 @@ func ParseReplanMode(s string) (ReplanMode, error) {
 		return ReplanOff, nil
 	case "drift":
 		return ReplanDrift, nil
-	case "interval":
-		return ReplanInterval, nil
 	}
-	return ReplanOff, fmt.Errorf("core: unknown replan mode %q (want off|drift|interval)", s)
+	return ReplanOff, fmt.Errorf("core: unknown replan mode %q (want off|drift)", s)
 }
 
 // ReplanConfig tunes the epoch-based re-planning lifecycle. The zero
@@ -223,13 +216,7 @@ func (m *Merchandiser) replanTick(now float64, mem *hm.Memory, tasks []hm.TaskSt
 		Drift:     drift,
 		Projected: projected,
 	}
-	trigger := false
-	switch r.cfg.Mode {
-	case ReplanDrift:
-		trigger = drift > r.cfg.DriftThreshold
-	case ReplanInterval:
-		trigger = true
-	}
+	trigger := r.cfg.Mode == ReplanDrift && drift > r.cfg.DriftThreshold
 	if !trigger || r.replans >= r.cfg.MaxReplans {
 		m.EpochReports = append(m.EpochReports, report)
 		return

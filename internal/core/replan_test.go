@@ -140,6 +140,26 @@ func TestReplanOffByteIdentical(t *testing.T) {
 	}
 }
 
+// TestParseReplanMode pins the -replan flag spellings: "", "off" and
+// "drift" parse; anything else, including the retired "interval",
+// errors.
+func TestParseReplanMode(t *testing.T) {
+	for s, want := range map[string]ReplanMode{"": ReplanOff, "off": ReplanOff, "drift": ReplanDrift} {
+		got, err := ParseReplanMode(s)
+		if err != nil || got != want {
+			t.Fatalf("ParseReplanMode(%q) = %v, %v; want %v", s, got, err, want)
+		}
+		if s != "" && got.String() != s {
+			t.Fatalf("%v.String() = %q, want %q", got, got.String(), s)
+		}
+	}
+	for _, s := range []string{"interval", "Drift", "junk"} {
+		if _, err := ParseReplanMode(s); err == nil {
+			t.Fatalf("ParseReplanMode(%q) accepted a bad mode", s)
+		}
+	}
+}
+
 // TestReplanDriftImprovesShiftedRun is the makespan-recovery bar at unit
 // scale: on the shifting workload, drift re-planning must beat the
 // plan-once policy end to end.

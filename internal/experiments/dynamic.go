@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"reflect"
 	"sync"
 
 	"merchandiser/internal/apps"
@@ -60,11 +58,11 @@ type ReplanRow struct {
 }
 
 // replanModes is the study's comparison set: the paper's plan-once
-// behavior against the two re-planning triggers.
+// behavior against drift-triggered re-planning.
 func replanModes(cfg Config) []core.ReplanConfig {
 	base := cfg.Replan // inherit tuning knobs (epoch length, threshold)
-	rows := make([]core.ReplanConfig, 3)
-	for i, m := range []core.ReplanMode{core.ReplanOff, core.ReplanDrift, core.ReplanInterval} {
+	rows := make([]core.ReplanConfig, 2)
+	for i, m := range []core.ReplanMode{core.ReplanOff, core.ReplanDrift} {
 		rc := base
 		rc.Mode = m
 		rows[i] = rc
@@ -143,8 +141,8 @@ func ReplanEpochRecords(ctx context.Context, art *Artifacts, cfg Config) ([]stor
 }
 
 // ReplanStudy runs the PhaseShift workload under Merchandiser with
-// re-planning off, drift-triggered and fixed-interval, and reports the
-// makespan recovery. Cells run concurrently up to cfg.Workers; results
+// re-planning off and drift-triggered, and reports the makespan
+// recovery. Cells run concurrently up to cfg.Workers; results
 // are identical for any worker count (each cell is seeded and isolated,
 // and re-planning is driven by simulated-time ticks, never wall clock).
 func ReplanStudy(ctx context.Context, w io.Writer, art *Artifacts, cfg Config) ([]ReplanRow, error) {
@@ -198,65 +196,6 @@ func ReplanStudy(ctx context.Context, w io.Writer, art *Artifacts, cfg Config) (
 		fprintf(w, "\n")
 	}
 	return out, nil
-}
-
-// ReplanBenchReport is the stable machine-readable record of the
-// re-planning study (BENCH_8.json): the PhaseShift mode comparison run
-// at Workers=1 and Workers=8 with byte-equality enforced between the
-// two, so the recovery factor and the determinism bar are tracked
-// together across PRs.
-type ReplanBenchReport struct {
-	Schema string `json:"schema"`
-	Quick  bool   `json:"quick"`
-	Seed   int64  `json:"seed"`
-	App    string `json:"app"`
-	// Rows is the mode comparison (off first).
-	Rows []ReplanRow `json:"rows"`
-	// SpeedupDrift is TotalTime(off) / TotalTime(drift) — the makespan
-	// the drift-triggered re-planner recovers on the phase-shift workload.
-	SpeedupDrift float64 `json:"speedup_drift"`
-	// Deterministic records that the Workers=1 and Workers=8 runs agreed
-	// exactly (the report errors out rather than recording false).
-	Deterministic bool `json:"deterministic_w1_w8"`
-}
-
-// WriteJSON marshals the report with indentation.
-func (b *ReplanBenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
-}
-
-// ReplanBench runs the re-planning study twice — Workers=1 and
-// Workers=8 — and assembles the benchmark report. Any divergence
-// between the two runs is an error: epoch boundaries are simulated-time
-// tick counts, so worker scheduling must never leak into results.
-func ReplanBench(ctx context.Context, w io.Writer, art *Artifacts, cfg Config) (*ReplanBenchReport, error) {
-	c1 := cfg
-	c1.Workers = 1
-	rows1, err := ReplanStudy(ctx, w, art, c1)
-	if err != nil {
-		return nil, err
-	}
-	c8 := cfg
-	c8.Workers = 8
-	rows8, err := ReplanStudy(ctx, nil, art, c8)
-	if err != nil {
-		return nil, err
-	}
-	if !reflect.DeepEqual(rows1, rows8) {
-		return nil, fmt.Errorf("experiments: replan study diverged between Workers=1 and Workers=8:\nW1: %+v\nW8: %+v", rows1, rows8)
-	}
-	rep := &ReplanBenchReport{
-		Schema: BenchSchema, Quick: cfg.Quick, Seed: cfg.Seed,
-		App: "PhaseShift", Rows: rows1, Deterministic: true,
-	}
-	for _, r := range rows1 {
-		if r.Mode == "drift" && r.TotalTime > 0 {
-			rep.SpeedupDrift = rows1[0].TotalTime / r.TotalTime
-		}
-	}
-	return rep, nil
 }
 
 // coschedApp builds the multi-tenant workload: the quick-scale SpGEMM

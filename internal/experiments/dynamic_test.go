@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"merchandiser/internal/apps"
@@ -23,23 +24,28 @@ func dynCfg() Config {
 	return Config{Quick: true, Seed: 1, StepSec: 0.0005}
 }
 
-// TestReplanBenchDeterministicAndRecovers is the acceptance bar for the
+// TestReplanStudyDeterministicAndRecovers is the acceptance bar for the
 // epoch lifecycle in one shot: the PhaseShift study must agree exactly
-// between Workers=1 and Workers=8 (ReplanBench errors out otherwise),
-// re-planning must actually fire, and drift mode must beat the static
-// plan end to end.
-func TestReplanBenchDeterministicAndRecovers(t *testing.T) {
-	rep, err := ReplanBench(context.Background(), nil, dynArt(), dynCfg())
+// between Workers=1 and Workers=8, re-planning must actually fire, and
+// drift mode must beat the static plan end to end.
+func TestReplanStudyDeterministicAndRecovers(t *testing.T) {
+	c1, c8 := dynCfg(), dynCfg()
+	c1.Workers, c8.Workers = 1, 8
+	rows, err := ReplanStudy(context.Background(), nil, dynArt(), c1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Deterministic {
-		t.Fatal("report not marked deterministic")
+	rows8, err := ReplanStudy(context.Background(), nil, dynArt(), c8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(rep.Rows) != 3 || rep.Rows[0].Mode != "off" {
-		t.Fatalf("unexpected rows: %+v", rep.Rows)
+	if !reflect.DeepEqual(rows, rows8) {
+		t.Fatalf("replan study diverged between Workers=1 and Workers=8:\nW1: %+v\nW8: %+v", rows, rows8)
 	}
-	off, drift := rep.Rows[0], rep.Rows[1]
+	if len(rows) != 2 || rows[0].Mode != "off" || rows[1].Mode != "drift" {
+		t.Fatalf("unexpected rows: %+v", rows)
+	}
+	off, drift := rows[0], rows[1]
 	if drift.Replans == 0 || drift.Epochs == 0 {
 		t.Fatalf("drift mode never re-planned: %+v", drift)
 	}
@@ -49,9 +55,6 @@ func TestReplanBenchDeterministicAndRecovers(t *testing.T) {
 	if drift.TotalTime >= off.TotalTime {
 		t.Fatalf("drift re-planning did not recover makespan: %.3fs vs off %.3fs",
 			drift.TotalTime, off.TotalTime)
-	}
-	if rep.SpeedupDrift <= 1 {
-		t.Fatalf("speedup_drift = %.3f, want > 1", rep.SpeedupDrift)
 	}
 }
 

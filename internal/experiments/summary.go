@@ -30,7 +30,8 @@ type Summary struct {
 }
 
 // Timing is the wall-clock cost of the offline pipeline and the online
-// placement decision, for BENCH_*.json trajectory tracking across PRs.
+// placement decision, as the -json summary reports it. It is a single
+// unrepeated run; perfbench is the harness for performance claims.
 type Timing struct {
 	// Workers is the concurrency the run used (0 was resolved to NumCPU).
 	Workers int `json:"workers"`

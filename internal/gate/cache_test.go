@@ -2,7 +2,6 @@ package gate
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -375,52 +374,11 @@ func TestGateFleetzShapeFollowsCacheConfig(t *testing.T) {
 	}
 }
 
-func TestZipfPickerUniformPathIsLegacy(t *testing.T) {
-	// s=0 must walk the exact rng.Intn path so existing seeded traces
-	// replay byte-identically.
-	if tab := zipfTable(64, 0); tab != nil {
-		t.Fatal("s=0 built a CDF table; uniform draws must stay on rng.Intn")
-	}
-	r1 := rand.New(rand.NewSource(42))
-	r2 := rand.New(rand.NewSource(42))
-	for i := 0; i < 1000; i++ {
-		if got, want := pickApp(r1, 64, nil), r2.Intn(64); got != want {
-			t.Fatalf("draw %d: pickApp=%d, legacy Intn=%d", i, got, want)
-		}
-	}
-}
-
-func TestZipfPickerSkews(t *testing.T) {
-	const apps, draws = 64, 20000
-	cdf := zipfTable(apps, 1.1)
-	if len(cdf) != apps {
-		t.Fatalf("cdf len %d", len(cdf))
-	}
-	if last := cdf[apps-1]; last < 0.999999 || last > 1.000001 {
-		t.Fatalf("cdf not normalized: tail %v", last)
-	}
-	rng := rand.New(rand.NewSource(7))
-	counts := make([]int, apps)
-	for i := 0; i < draws; i++ {
-		a := pickApp(rng, apps, cdf)
-		if a < 0 || a >= apps {
-			t.Fatalf("draw out of range: %d", a)
-		}
-		counts[a]++
-	}
-	uniform := draws / apps
-	if counts[0] < 3*uniform {
-		t.Fatalf("app 0 drew %d times; want at least 3x the uniform share %d at s=1.1", counts[0], uniform)
-	}
-	if counts[0] <= counts[apps-1] {
-		t.Fatalf("skew inverted: hottest rank %d <= coldest rank %d", counts[0], counts[apps-1])
-	}
-}
-
-func TestLoadgenZipfAgainstCachedGate(t *testing.T) {
-	// End-to-end: a skewed trace against a cache-enabled gate must land a
-	// sizeable hit rate (64 app bodies, 400 requests, s=1.1 — the hot
-	// apps repeat many times) and the tagged report rows must carry it.
+func TestGateCacheAccountingUnderSkew(t *testing.T) {
+	// A skewed trace against a cache-enabled gate: 400 requests over 64
+	// app bodies at Zipf s=1.1, so the hot apps repeat many times. The
+	// cache must shed replica work, and every request must be accounted
+	// for as exactly one of upstream, hit or collapsed.
 	a := newFakeReplica(t, "v1")
 	b := newFakeReplica(t, "v1")
 	g := testGate(t, Config{Backends: []string{a.srv.URL, b.srv.URL}, CacheEntries: 256})
@@ -429,27 +387,20 @@ func TestLoadgenZipfAgainstCachedGate(t *testing.T) {
 	front := httptest.NewServer(g.Handler())
 	defer front.Close()
 
-	cfg := LoadgenConfig{
-		Target:          front.URL,
-		Requests:        400,
-		Workers:         4,
-		Apps:            64,
-		TasksPerRequest: 3,
-		Seed:            7,
-		Replicas:        2,
-		ZipfS:           1.1,
-		Tag:             "cache=on_zipf=1.1_",
+	zipf := rand.NewZipf(rand.New(rand.NewSource(7)), 1.1, 1, 63)
+	apps := make([]int, 400)
+	for i := range apps {
+		apps[i] = int(zipf.Uint64())
 	}
-	res, err := RunLoadgen(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("loadgen errors: %d", res.Errors)
+	if failures := driveLoad(front.URL, 4, apps); failures != 0 {
+		t.Fatalf("%d requests failed", failures)
 	}
 	stats, collapsed := g.CacheStats()
 	if stats.Hits+collapsed == 0 {
 		t.Fatal("skewed trace against cached gate produced zero hits")
+	}
+	if stats.Hits == 0 {
+		t.Fatalf("only singleflight shed load (%d collapsed); the LRU served no repeat", collapsed)
 	}
 	upstream := a.places.Load() + b.places.Load()
 	if upstream >= 400 {
@@ -457,9 +408,5 @@ func TestLoadgenZipfAgainstCachedGate(t *testing.T) {
 	}
 	if upstream+int64(stats.Hits)+int64(collapsed) != 400 {
 		t.Fatalf("accounting: upstream %d + hits %d + collapsed %d != 400", upstream, stats.Hits, collapsed)
-	}
-	rep := res.BenchReport(cfg)
-	if _, ok := rep.Ops["gate_replicas=2_cache=on_zipf=1.1_p99_micros"]; !ok {
-		t.Fatalf("report missing tagged rows: %v", rep.Ops)
 	}
 }

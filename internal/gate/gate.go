@@ -27,6 +27,9 @@ const maxBodyBytes = 1 << 20
 // replica either way.
 const KeyHeader = "X-Merch-Key"
 
+// vnodes is the virtual-node count per replica on the hash ring.
+const vnodes = 128
+
 // CacheHeader marks responses the gate served from its response cache
 // (or collapsed into an identical in-flight request) without touching a
 // replica.
@@ -36,11 +39,8 @@ const CacheHeader = "X-Merch-Cache"
 type Config struct {
 	// Backends are the replica base URLs (e.g. "http://127.0.0.1:8077").
 	Backends []string
-	// VNodes is the virtual-node count per replica on the hash ring.
-	// Default 128.
-	VNodes int
 	// Retries bounds how many additional ring nodes a failed request may
-	// hop to. Default 2.
+	// hop to. 0 means the default, 2; a negative value disables hops.
 	Retries int
 	// HealthInterval is the /readyz probe period. Default 250ms.
 	HealthInterval time.Duration
@@ -68,9 +68,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 128
-	}
 	if c.Retries < 0 {
 		c.Retries = 0
 	} else if c.Retries == 0 {
@@ -151,7 +148,7 @@ func New(cfg Config) *Gate {
 	cfg = cfg.withDefaults()
 	g := &Gate{
 		cfg:    cfg,
-		ring:   NewRing(cfg.Backends, cfg.VNodes),
+		ring:   NewRing(cfg.Backends, vnodes),
 		client: cfg.Client,
 		stop:   make(chan struct{}),
 	}

@@ -1,12 +1,13 @@
 package gate
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -303,7 +304,49 @@ func TestGateRouteKeyFallsBackToTaskName(t *testing.T) {
 	}
 }
 
-func TestLoadgenSmoke(t *testing.T) {
+// driveLoad posts one /place request per entry of apps from clients
+// concurrent goroutines and returns how many did not answer 200.
+func driveLoad(url string, clients int, apps []int) int64 {
+	var failures atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; i < len(apps); i += clients {
+				if !placeOK(url, apps[i]) {
+					failures.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return failures.Load()
+}
+
+// placeOK posts app's request and reports whether it answered 200. Each
+// app has its own body and routing key, so repeated apps send
+// byte-identical requests.
+func placeOK(url string, app int) bool {
+	body := fmt.Sprintf(`{"tasks":[{"name":"app-%03d/t0","t_pm_only":%d,"t_dram_only":0.8,"total_accesses":4e6,"footprint_pages":300}]}`, app, 2+app)
+	req, err := http.NewRequest(http.MethodPost, url+"/place", strings.NewReader(body))
+	if err != nil {
+		return false
+	}
+	req.Header.Set(KeyHeader, fmt.Sprintf("app-%03d", app))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode == http.StatusOK
+}
+
+func TestGateConcurrentLoad(t *testing.T) {
+	// 400 requests from 4 clients over 8 keys through a gate with the
+	// cache off: every request answers 200 and reaches exactly one
+	// replica.
 	a := newFakeReplica(t, "v1")
 	b := newFakeReplica(t, "v1")
 	g := testGate(t, Config{Backends: []string{a.srv.URL, b.srv.URL}})
@@ -311,33 +354,14 @@ func TestLoadgenSmoke(t *testing.T) {
 	front := httptest.NewServer(g.Handler())
 	defer front.Close()
 
-	cfg := LoadgenConfig{
-		Target:          front.URL,
-		Requests:        400,
-		Workers:         4,
-		Apps:            8,
-		TasksPerRequest: 3,
-		Seed:            7,
-		Replicas:        2,
+	apps := make([]int, 400)
+	for i := range apps {
+		apps[i] = i % 8
 	}
-	res, err := RunLoadgen(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("loadgen errors: %d", res.Errors)
+	if failures := driveLoad(front.URL, 4, apps); failures != 0 {
+		t.Fatalf("%d requests failed", failures)
 	}
 	if got := a.places.Load() + b.places.Load(); got != 400 {
 		t.Fatalf("replicas saw %d requests, want 400", got)
-	}
-	if res.ThroughputRPS <= 0 || res.P50 <= 0 || res.P99 < res.P50 {
-		t.Fatalf("implausible stats: %+v", res)
-	}
-	rep := res.BenchReport(cfg)
-	if rep.Schema != "merchbench/bench/v1" {
-		t.Fatalf("schema %q", rep.Schema)
-	}
-	if _, ok := rep.Ops["gate_replicas=2_p99_micros"]; !ok {
-		t.Fatalf("report missing replica-keyed rows: %v", rep.Ops)
 	}
 }

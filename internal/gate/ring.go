@@ -20,7 +20,7 @@ type ringPoint struct {
 }
 
 // Ring is an immutable consistent-hash ring over a fixed replica set.
-// Each node projects VNodes points onto a uint64 circle; a key routes to
+// Each node projects vnodes points onto a uint64 circle; a key routes to
 // the first point clockwise of its hash. Adding or removing one replica
 // moves only ~1/N of the key space — the property that keeps per-app
 // request streams (and therefore their replica cache entries) pinned to

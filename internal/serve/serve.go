@@ -235,7 +235,7 @@ type loadedModel struct {
 
 // Service is the placement daemon core: an optional loaded system, a
 // bounded queue, and one planner goroutine. Create with New, feed it a
-// system via Load or LoadArtifact, swap it live with Reload, stop it
+// system via Load or LoadArtifactAs, swap it live with Reload, stop it
 // with Shutdown.
 type Service struct {
 	cfg Config
@@ -295,25 +295,14 @@ func (s *Service) install(lm *loadedModel) {
 	s.sysMu.Unlock()
 }
 
-// LoadArtifact restores the system artifact at path and installs it,
-// timing the restore as the volatile serve.restore_seconds wall timer
-// on the service's registry — the daemon's cold-start cost, visible in
-// /metricsz. The loaded model's version is recorded as the file's base
-// name; use LoadArtifactAs to attach a registry version. Restore options
-// (observer, workers) pass through, appended to Config.RestoreOptions.
-func (s *Service) LoadArtifact(ctx context.Context, path string, opts ...merchandiser.RestoreOption) (*merchandiser.System, error) {
-	lm, err := s.restoreBundle(ctx, path, "", opts)
-	if err != nil {
-		return nil, err
-	}
-	s.install(lm)
-	return lm.sys, nil
-}
-
-// LoadArtifactAs is LoadArtifact with an explicit version name (e.g. the
-// registry version the path was resolved from).
-func (s *Service) LoadArtifactAs(ctx context.Context, path, version string, opts ...merchandiser.RestoreOption) (*merchandiser.System, error) {
-	lm, err := s.restoreBundle(ctx, path, version, opts)
+// LoadArtifactAs restores the system artifact at path with
+// Config.RestoreOptions and installs it under version (e.g. the
+// registry version the path was resolved from; "" records
+// "unversioned"). The restore is timed as the volatile
+// serve.restore_seconds wall timer on the service's registry — the
+// daemon's cold-start cost, visible in /metricsz.
+func (s *Service) LoadArtifactAs(ctx context.Context, path, version string) (*merchandiser.System, error) {
+	lm, err := s.restoreBundle(ctx, path, version)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +314,7 @@ func (s *Service) LoadArtifactAs(ctx context.Context, path, version string, opts
 // from the in-memory bytes, and lifts the optional epochs section. It
 // runs entirely off the serving path: the current model keeps answering
 // while a reload restores.
-func (s *Service) restoreBundle(ctx context.Context, path, version string, opts []merchandiser.RestoreOption) (*loadedModel, error) {
+func (s *Service) restoreBundle(ctx context.Context, path, version string) (*loadedModel, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, merr.Wrap(merr.ErrBadArtifact, "serve: read artifact", err)
@@ -335,8 +324,7 @@ func (s *Service) restoreBundle(ctx context.Context, path, version string, opts 
 		version = "unversioned"
 	}
 	stop := s.cfg.Obs.WallTimer("serve.restore_seconds").Start()
-	restoreOpts := append(append([]merchandiser.RestoreOption{}, s.cfg.RestoreOptions...), opts...)
-	sys, err := merchandiser.Restore(ctx, bytes.NewReader(data), restoreOpts...)
+	sys, err := merchandiser.Restore(ctx, bytes.NewReader(data), s.cfg.RestoreOptions...)
 	stop()
 	if err != nil {
 		return nil, err
@@ -384,7 +372,7 @@ func (s *Service) Reload(ctx context.Context) (ModelInfo, bool, error) {
 		s.cfg.Obs.Counter("serve.reload_noops").Inc()
 		return cur, false, nil
 	}
-	lm, err := s.restoreBundle(ctx, path, version, nil)
+	lm, err := s.restoreBundle(ctx, path, version)
 	if err != nil {
 		s.cfg.Obs.Counter("serve.reload_errors").Inc()
 		return s.Info(), false, err

@@ -196,20 +196,18 @@ func (s *System) MerchandiserWithObserver(reg *Observer) PolicyFactory {
 }
 
 // ReplanMode selects the epoch-based re-planning trigger for
-// MerchandiserReplan: off (the historical plan-once behavior), drift
+// MerchandiserReplan: off (the historical plan-once behavior) or drift
 // (re-plan when observed progress projects the makespan past the
-// predicted one by more than the threshold), or interval (re-plan at
-// every epoch boundary regardless of drift).
+// predicted one by more than the threshold).
 type ReplanMode = core.ReplanMode
 
 // Re-planning trigger modes.
 const (
-	ReplanOff      = core.ReplanOff
-	ReplanDrift    = core.ReplanDrift
-	ReplanInterval = core.ReplanInterval
+	ReplanOff   = core.ReplanOff
+	ReplanDrift = core.ReplanDrift
 )
 
-// ParseReplanMode parses "off", "drift" or "interval" (empty = off).
+// ParseReplanMode parses "off" or "drift" (empty = off).
 func ParseReplanMode(s string) (ReplanMode, error) { return core.ParseReplanMode(s) }
 
 // ReplanConfig tunes the epoch lifecycle: trigger mode, epoch length in

@@ -40,6 +40,16 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+echo "== layering (the fleet binaries do not link internal/experiments)"
+# merchgate and merchserved serve requests; the paper's experiment
+# matrix, its workloads and their simulators belong to merchbench.
+if go list -deps ./cmd/merchgate ./cmd/merchserved | grep -qx 'merchandiser/internal/experiments'; then
+	echo "a fleet binary links merchandiser/internal/experiments; importers:" >&2
+	go list -f '{{.ImportPath}}: {{join .Imports " "}}' -deps ./cmd/merchgate ./cmd/merchserved |
+		grep 'merchandiser/internal/experiments' >&2
+	exit 1
+fi
+
 echo "== govulncheck (best effort)"
 if command -v govulncheck >/dev/null 2>&1; then
 	govulncheck ./... || echo "govulncheck reported findings (non-blocking)"
@@ -87,10 +97,10 @@ go test -race -timeout 600s -count=1 -run 'Replan|Quota|MultiTenant' \
 echo "== replan identity smoke (off == plan-once, Workers=1 vs Workers=8)"
 # The lifecycle's gating contract: ReplanOff must be byte-identical to
 # the pre-replan policy, and the drift study must agree exactly across
-# worker counts (TestReplanBenchDeterministicAndRecovers runs the bench
+# worker counts (TestReplanStudyDeterministicAndRecovers runs the study
 # at Workers=1 and Workers=8 and requires identical rows).
 go test -timeout 300s -count=1 -run '^TestReplanOffByteIdentical$' ./internal/core
-go test -timeout 300s -count=1 -run '^TestReplanBenchDeterministicAndRecovers$' ./internal/experiments
+go test -timeout 300s -count=1 -run '^TestReplanStudyDeterministicAndRecovers$' ./internal/experiments
 
 echo "== allocation gate (compiled single-point predict must not allocate)"
 # Deliberately outside the -race tier: the assertion is exact (0
@@ -120,8 +130,9 @@ echo "== registry/gate race tier (publish/promote vs resolve, reload under fire,
 # prober/proxy shared backend state, and both tiers' response caches
 # (sharded LRU + singleflight under concurrent identical requests,
 # including ReloadUnderFire's cache variant that asserts zero stale
-# responses across 12 promote/rollback cycles).
-go test -race -timeout 600s -count=1 -run 'Concurrent|ReloadUnderFire|Gate|Ring|Loadgen|Cache|Flight|Zipf' \
+# responses across 12 promote/rollback cycles), and the gate driven by
+# concurrent clients with the cache off and under Zipf-skewed keys.
+go test -race -timeout 600s -count=1 -run 'Concurrent|ReloadUnderFire|Gate|Ring|Cache|Flight' \
 	./internal/registry ./internal/serve ./internal/gate ./internal/rcache
 
 echo "== allocation gate (canonical hash + cache lookup must not allocate)"

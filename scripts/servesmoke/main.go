@@ -1,7 +1,8 @@
 // Command servesmoke is check.sh's end-to-end save/load/serve smoke
 // test: it checkpoints a System to an artifact, starts a real
 // merchserved process on a free port, verifies /healthz, /readyz,
-// /metricsz and one /place request, then SIGTERMs the daemon
+// /metricsz and one /place request (stamped with the artifact's file
+// name as model version and its SHA-256), then SIGTERMs the daemon
 // and asserts a clean drain (exit code 0) and a decodable plan log.
 //
 //	go build -o bin/merchserved ./cmd/merchserved
@@ -97,6 +98,13 @@ func main() {
 	}
 	if out.Tasks[0].Predicted <= 0 || out.Makespan <= 0 {
 		log.Fatalf("/place predicted nothing: %+v", out)
+	}
+	// An -artifact daemon names its model after the file.
+	wantSHA, _, err := store.FileSHA256(artifact)
+	check(err, "hash artifact")
+	if out.ModelVersion != filepath.Base(artifact) || out.ModelSHA256 != wantSHA {
+		log.Fatalf("/place stamped model %q sha %q, want %q sha %q",
+			out.ModelVersion, out.ModelSHA256, filepath.Base(artifact), wantSHA)
 	}
 	log.Printf("placement served (makespan %.3fs)", out.Makespan)
 

@@ -22,7 +22,10 @@ package ml
 // kernel table as-is — a restored model predicts without ever
 // rebuilding a pointer tree.
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // leafNode marks a leaf in a node table's feature column.
 const leafNode int32 = -1
@@ -250,6 +253,44 @@ func treeHeight(c *CompiledTree, i int32) int32 {
 		l = r
 	}
 	return 1 + l
+}
+
+// SplitThresholds returns the sorted, distinct thresholds at which a
+// fitted tree ensemble splits feature f, read from its compiled node
+// table. Every such split tests x[f] <= t. So two rows that differ only
+// in x[f], with both values at the same sort.SearchFloat64s index in
+// the returned slice, take the same branch at every node of every tree
+// and get bit-identical predictions. A value equal to a threshold goes
+// left, which is the interval SearchFloat64s returns for it.
+//
+// ok is false for models without a node table (SVR, KNN, the MLP, a
+// lone tree) and for unfitted ensembles. A fitted ensemble that never
+// splits on f returns no thresholds and ok: its prediction does not
+// depend on x[f] at all.
+func SplitThresholds(m Regressor, f int) (thresholds []float64, ok bool) {
+	var tab *nodeTable
+	switch v := m.(type) {
+	case *GradientBoosted:
+		if !v.fitted || v.compiled == nil {
+			return nil, false
+		}
+		tab = &v.compiled.tab
+	case *RandomForest:
+		if !v.fitted || v.compiled == nil {
+			return nil, false
+		}
+		tab = &v.compiled.tab
+	default:
+		return nil, false
+	}
+	for _, nd := range tab.nodes {
+		// Leaves carry a +Inf threshold and feature 0; skip them.
+		if int(nd.Feature) == f && !math.IsInf(nd.Thresh, 1) {
+			thresholds = append(thresholds, nd.Thresh)
+		}
+	}
+	slices.Sort(thresholds)
+	return slices.Compact(thresholds), true
 }
 
 // walk evaluates the tree rooted at root in exactly d steps (the

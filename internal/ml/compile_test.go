@@ -7,6 +7,41 @@ import (
 	"testing"
 )
 
+// predict is the pointer walk the compiled engine replaced. It is the
+// bit-identity reference: the differential tests and the
+// BenchmarkPredictPointer baselines compare every compiled prediction
+// against this walk.
+func (n *treeNode) predict(x []float64) float64 {
+	for !n.leaf {
+		if x[n.feature] <= n.threshold {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	return n.value
+}
+
+// predictPointer is the original pointer-walk accumulation, the
+// bit-identity reference for the compiled forest.
+func (f *RandomForest) predictPointer(x []float64) float64 {
+	var s float64
+	for _, t := range f.trees {
+		s += t.root.predict(x)
+	}
+	return s / float64(len(f.trees))
+}
+
+// predictPointer is the original pointer-walk accumulation, the
+// bit-identity reference for the compiled GBR.
+func (g *GradientBoosted) predictPointer(x []float64) float64 {
+	out := g.base
+	for _, t := range g.trees {
+		out += g.Config.LearningRate * t.root.predict(x)
+	}
+	return out
+}
+
 // assertBitEqual compares a compiled prediction path against the
 // pointer-walk reference, row by row and in batch.
 func assertBitEqual(t *testing.T, name string, X [][]float64, pointer func([]float64) float64, single func([]float64) float64, batch func([][]float64) []float64) {

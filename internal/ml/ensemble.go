@@ -166,16 +166,6 @@ func (f *RandomForest) PredictAll(X [][]float64) []float64 {
 	return out
 }
 
-// predictPointer is the original pointer-walk accumulation, kept as the
-// bit-identity reference for the compiled engine.
-func (f *RandomForest) predictPointer(x []float64) float64 {
-	var s float64
-	for _, t := range f.trees {
-		s += t.root.predict(x)
-	}
-	return s / float64(len(f.trees))
-}
-
 // Importances implements Importancer.
 func (f *RandomForest) Importances() []float64 {
 	return append([]float64(nil), f.importances...)
@@ -361,16 +351,6 @@ func (g *GradientBoosted) PredictAll(X [][]float64) []float64 {
 	defer g.Config.Obs.WallTimer("ml.gbr.predict_seconds").Start()()
 	g.predictions.Add(float64(len(X)))
 	g.compiled.predictAllInto(X, out, g.Config.Workers)
-	return out
-}
-
-// predictPointer is the original pointer-walk accumulation, kept as the
-// bit-identity reference for the compiled engine.
-func (g *GradientBoosted) predictPointer(x []float64) float64 {
-	out := g.base
-	for _, t := range g.trees {
-		out += g.Config.LearningRate * t.root.predict(x)
-	}
 	return out
 }
 

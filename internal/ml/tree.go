@@ -120,21 +120,6 @@ func (t *DecisionTree) PredictAll(X [][]float64) []float64 {
 	return out
 }
 
-// predict is the pointer walk the compiled engine replaced. It is kept
-// as the bit-identity reference: the differential tests and the
-// BenchmarkPredictPointer baselines compare every compiled prediction
-// against this walk.
-func (n *treeNode) predict(x []float64) float64 {
-	for !n.leaf {
-		if x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.value
-}
-
 // Importances implements Importancer.
 func (t *DecisionTree) Importances() []float64 {
 	return append([]float64(nil), t.importances...)

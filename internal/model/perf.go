@@ -18,24 +18,55 @@ import (
 type CorrelationFunc struct {
 	Model  ml.Regressor
 	Events []string // hardware events used as workload characteristics
+
+	// splits caches RDramSplits: computed on first use, once per
+	// CorrelationFunc, and shared by every planner that uses it.
+	splitsOnce sync.Once
+	splits     []float64
+	splitsOK   bool
 }
 
-// vecPool recycles the feature vectors Eval assembles. The serve path
-// evaluates Eval thousands of times per plan (every bisection probe
-// bottoms out here), and the compiled model predicts allocation-free,
-// so the vector build must not allocate per call either.
+// vecPool recycles the feature vectors Eval assembles. The compiled
+// model predicts allocation-free, so the vector build must not allocate
+// per call either.
 var vecPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // Eval returns f for one task's workload characteristics and a DRAM
 // access ratio.
 func (c *CorrelationFunc) Eval(ev pmc.Counters, rdram float64) float64 {
 	buf := vecPool.Get().(*[]float64)
-	x := ev.VectorInto((*buf)[:0], c.Events)
-	x = append(x, rdram)
-	f := c.Model.Predict(x)
+	x := c.AppendVector((*buf)[:0], ev, rdram)
+	f := c.EvalVector(x)
 	*buf = x
 	vecPool.Put(buf)
-	return clampF(f)
+	return f
+}
+
+// AppendVector appends the model's feature vector for (ev, rdram) onto
+// dst: the selected events in order, then r_dram in the last slot, the
+// column layout corpus.Matrix trains on.
+func (c *CorrelationFunc) AppendVector(dst []float64, ev pmc.Counters, rdram float64) []float64 {
+	return append(ev.VectorInto(dst, c.Events), rdram)
+}
+
+// EvalVector returns f for a feature vector built by AppendVector.
+// Callers that evaluate one task at many ratios build the vector once
+// and rewrite only its last slot.
+func (c *CorrelationFunc) EvalVector(x []float64) float64 {
+	return clampF(c.Model.Predict(x))
+}
+
+// RDramSplits returns the sorted, distinct thresholds at which the
+// model splits its r_dram column (index len(Events)), or ok=false when
+// the model is not a tree ensemble. Between two consecutive thresholds
+// f does not depend on r_dram: Eval returns the same bits for every
+// ratio with the same sort.SearchFloat64s index, given the same events.
+// The slice is computed once per CorrelationFunc and is read-only.
+func (c *CorrelationFunc) RDramSplits() (thresholds []float64, ok bool) {
+	c.splitsOnce.Do(func() {
+		c.splits, c.splitsOK = ml.SplitThresholds(c.Model, len(c.Events))
+	})
+	return c.splits, c.splitsOK
 }
 
 // clampF keeps f in a physically meaningful band (0 would mean PM
@@ -61,8 +92,7 @@ func (c *CorrelationFunc) EvalBatch(evs []pmc.Counters, rdram []float64) []float
 	X := make([][]float64, len(evs))
 	for i := range evs {
 		start := len(flat)
-		flat = evs[i].VectorInto(flat, c.Events)
-		flat = append(flat, rdram[i])
+		flat = c.AppendVector(flat, evs[i], rdram[i])
 		X[i] = flat[start:len(flat):len(flat)]
 	}
 	out := ml.PredictBatch(c.Model, X)

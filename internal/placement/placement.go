@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"merchandiser/internal/hm"
 	"merchandiser/internal/model"
@@ -181,13 +182,34 @@ func accessesForPages(t TaskInput, pages uint64) float64 {
 }
 
 // predictMemo caches performance-model predictions for one plan
-// construction. The model is deterministic in (task, r_dram), and keys
-// quantize the ratio to its exact float64 bits, so a cache hit returns the
-// identical value a fresh perf.Predict call would — plans are unchanged,
-// only the repeated forest walks disappear.
+// construction. Within a plan each task's events are fixed and only
+// r_dram varies, so what it caches depends on the correlation function:
+//
+//   - A tree ensemble's f is constant between two consecutive split
+//     thresholds of the r_dram column (model.CorrelationFunc.RDramSplits).
+//     The memo keeps one f per (task, threshold interval) in a dense row
+//     per task and recomputes Equation 2 on every probe — the arithmetic
+//     PerfModel.Predict does — so a bisection pays one tree walk per
+//     interval it visits, not one per probe.
+//   - Every other model (SVR, KNN, the MLP, no correlation function) is
+//     keyed on the ratio's exact float64 bits: equal ratios share an
+//     entry, different ratios never do.
+//
+// Either way a lookup returns the identical value a fresh perf.Predict
+// call would, so plans are unchanged; only repeated model walks go.
 type predictMemo struct {
 	tasks []TaskInput
 	perf  *model.PerfModel
+	// splits, fs and vecs are the interval memo, set for tree ensembles
+	// only. fs holds len(splits)+1 slots per task, indexed by
+	// sort.SearchFloat64s(splits, r); 0 marks an unset slot (clampF keeps
+	// every f at 0.05 or above). fs comes from memoRows and goes back in
+	// release. vecs[i] is task i's feature vector, built once per plan; a
+	// miss rewrites its last slot, r_dram.
+	splits []float64
+	fs     []float64
+	vecs   [][]float64
+	// cache is the exact-bits memo every other model uses.
 	cache map[predictKey]float64
 	// requests/hits/misses count prediction lookups for the memo-hit-rate
 	// metric; requests == hits + misses is an observed invariant the
@@ -200,16 +222,45 @@ type predictKey struct {
 	rbits uint64
 }
 
+// memoRows recycles the interval memo's dense rows across plans. A
+// plan's rows take tens of kilobytes; allocated fresh, their page faults
+// and GC work cost Algorithm 1 about what the saved walks do.
+var memoRows = sync.Pool{New: func() any { return new([]float64) }}
+
 func newPredictMemo(tasks []TaskInput, perf *model.PerfModel, reg *obs.Registry) *predictMemo {
-	// Pre-size for a handful of distinct ratios per task so the common case
-	// never rehashes.
-	return &predictMemo{
+	m := &predictMemo{
 		tasks:    tasks,
 		perf:     perf,
-		cache:    make(map[predictKey]float64, 8*len(tasks)),
 		requests: reg.Counter("placement.predictions"),
 		hits:     reg.Counter("placement.memo.hits"),
 		misses:   reg.Counter("placement.memo.misses"),
+	}
+	if corr := perf.Corr; corr != nil {
+		if splits, ok := corr.RDramSplits(); ok {
+			m.splits = splits
+			buf := memoRows.Get().(*[]float64)
+			m.fs = append((*buf)[:0], make([]float64, len(tasks)*(len(splits)+1))...)
+			m.vecs = make([][]float64, len(tasks))
+			flat := make([]float64, 0, len(tasks)*(len(corr.Events)+1))
+			for i := range tasks {
+				start := len(flat)
+				flat = corr.AppendVector(flat, tasks[i].Events, 0)
+				m.vecs[i] = flat[start:len(flat):len(flat)]
+			}
+			return m
+		}
+	}
+	// Pre-size for a handful of distinct ratios per task so the common case
+	// never rehashes.
+	m.cache = make(map[predictKey]float64, 8*len(tasks))
+	return m
+}
+
+// release returns the interval memo's rows to memoRows; the memo must
+// not be used afterwards.
+func (m *predictMemo) release() {
+	if fs := m.fs; fs != nil {
+		memoRows.Put(&fs)
 	}
 }
 
@@ -226,25 +277,44 @@ func (m *predictMemo) predict(i int, dramAcc float64) float64 {
 
 func (m *predictMemo) predictRatio(i int, r float64) float64 {
 	m.requests.Inc()
+	t := &m.tasks[i]
+	if m.fs != nil {
+		slot := m.slot(i, r)
+		f := m.fs[slot]
+		if f != 0 {
+			m.hits.Inc()
+		} else {
+			m.misses.Inc()
+			x := m.vecs[i]
+			x[len(x)-1] = r
+			f = m.perf.Corr.EvalVector(x)
+			m.fs[slot] = f
+		}
+		return model.PredictHybrid(t.TPmOnly, t.TDramOnly, r, f)
+	}
 	key := predictKey{task: i, rbits: math.Float64bits(r)}
 	if v, ok := m.cache[key]; ok {
 		m.hits.Inc()
 		return v
 	}
 	m.misses.Inc()
-	t := m.tasks[i]
 	v := m.perf.Predict(t.TPmOnly, t.TDramOnly, t.Events, r)
 	m.cache[key] = v
 	return v
 }
 
-// warmEndpoints seeds the memo with every task's r=0 and r=1
-// predictions from one PredictBatch call: the bisection planner probes
-// both endpoints for every candidate makespan, and the batch form runs
-// the compiled model's block kernel — each tree's node table is walked
-// for a whole block of rows at a time instead of once per task. Batch
-// predictions are bit-identical to pointwise ones, so seeded entries
-// change nothing but the walk count.
+// slot is the interval memo's index for task i at ratio r.
+func (m *predictMemo) slot(i int, r float64) int {
+	return i*(len(m.splits)+1) + sort.SearchFloat64s(m.splits, r)
+}
+
+// warmEndpoints seeds the memo with every task's r=0 and r=1 entries
+// from one batch call: the bisection planner probes both endpoints for
+// every candidate makespan, and the batch form runs the compiled
+// model's block kernel — each tree's node table is walked for a whole
+// block of rows at a time instead of once per task. Batch predictions
+// are bit-identical to pointwise ones, so seeded entries change nothing
+// but the walk count.
 func (m *predictMemo) warmEndpoints() {
 	n := len(m.tasks)
 	tPm := make([]float64, 0, 2*n)
@@ -259,6 +329,12 @@ func (m *predictMemo) warmEndpoints() {
 			evs = append(evs, t.Events)
 			ratios = append(ratios, r)
 		}
+	}
+	if m.fs != nil {
+		for k, f := range m.perf.Corr.EvalBatch(evs, ratios) {
+			m.fs[m.slot(k%n, ratios[k])] = f
+		}
+		return
 	}
 	preds := m.perf.PredictBatch(tPm, tDram, evs, ratios)
 	for k, v := range preds {
@@ -303,9 +379,10 @@ func GreedyLoadBalance(tasks []TaskInput, dc uint64, perf *model.PerfModel, cfg 
 	// Algorithm 1 revisits the same (task, r_dram) pairs across rounds —
 	// every round re-predicts the incumbent at its current grant, and 5%
 	// steps land on a small grid of ratios. Predictions are deterministic,
-	// so memoize them per plan, keyed on the exact ratio bits (a lossless
-	// quantization: equal ratios share a key, different ratios never do).
+	// so memoize them per plan: per r_dram split interval for tree
+	// ensembles, per exact ratio bits otherwise (see predictMemo).
 	memo := newPredictMemo(tasks, perf, cfg.Obs)
+	defer memo.release()
 	predict := memo.predict
 	// ratioDelta observes the per-round grant growth as a fraction of the
 	// incumbent's total accesses; one Step per inner iteration, so the
@@ -548,11 +625,14 @@ func MinMakespanPlanConstrained(tasks []TaskInput, cons Constraints, perf *model
 		}
 	}
 	// The bisections revisit the endpoints and nearby ratios for every
-	// candidate T; the same per-plan memo that serves Algorithm 1 removes
-	// those repeated model walks, and the endpoint predictions every
-	// feasibility probe starts from are precomputed in one pass through
-	// the compiled model's batch kernel.
+	// candidate T. The same per-plan memo that serves Algorithm 1 removes
+	// those repeated model walks: with a tree ensemble, every probe that
+	// lands in an r_dram interval already walked is a hit, whatever its
+	// exact bits. The endpoint predictions every feasibility probe starts
+	// from are precomputed in one pass through the compiled model's batch
+	// kernel.
 	memo := newPredictMemo(tasks, perf, nil)
+	defer memo.release()
 	memo.warmEndpoints()
 	predict := memo.predictRatio
 	// Minimum DRAM ratio for task i to be predicted at or under T

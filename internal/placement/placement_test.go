@@ -3,7 +3,6 @@ package placement
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -328,32 +327,23 @@ func referenceGreedy(tasks []TaskInput, dc uint64, perf *model.PerfModel, cfg Co
 }
 
 // TestGreedyMatchesReferenceImplementation pins the memoized/incremental
-// GreedyLoadBalance to the original algorithm on randomized instances.
+// GreedyLoadBalance to the original algorithm on randomized instances,
+// for every model family of refModels: the interval memo of fitted and
+// restored tree ensembles, and the exact-bits memo of the linear model
+// and the MLP. Every plan field must match under math.Float64bits.
 func TestGreedyMatchesReferenceImplementation(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	perf := linearModel()
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(12)
-		tasks := make([]TaskInput, n)
-		var footprint uint64
-		for i := range tasks {
-			tDram := 0.5 + rng.Float64()*2
-			pages := uint64(100 + rng.Intn(4000))
-			footprint += pages
-			tasks[i] = task(
-				string(rune('a'+i)),
-				tDram*(1.05+rng.Float64()*4), tDram,
-				float64(1+rng.Intn(10))*1e6, pages,
-			)
-		}
-		dc := uint64(rng.Int63n(int64(footprint) + 1))
-		got, err := GreedyLoadBalance(tasks, dc, perf, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := referenceGreedy(tasks, dc, perf, Config{})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (n=%d dc=%d): plans diverged\ngot:  %+v\nwant: %+v", trial, n, dc, got, want)
+	for _, m := range refModels(t) {
+		rng := rand.New(rand.NewSource(42))
+		for trial := 0; trial < 200; trial++ {
+			tasks, dc := randomInstance(rng, m.events)
+			got, err := GreedyLoadBalance(tasks, dc, m.perf, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceGreedy(tasks, dc, m.perf, Config{})
+			if d := planDiff(got, want); d != "" {
+				t.Fatalf("%s trial %d (n=%d dc=%d): %s", m.name, trial, len(tasks), dc, d)
+			}
 		}
 	}
 }

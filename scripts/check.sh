@@ -6,8 +6,9 @@
 # daemon's planner, the epoch re-plan lifecycle and the multi-tenant
 # quota ledger) under the race detector, hold the compiled
 # inference engine to zero allocations per single-point predict and
-# smoke its pointer-vs-compiled benchmarks, smoke the compile-tree,
-# event-encoder, artifact-decoder and binary-slot-decoder fuzz targets
+# smoke its pointer-vs-compiled benchmarks and the planner benchmarks,
+# smoke the compile-tree, event-encoder, artifact-decoder and
+# binary-slot-decoder fuzz targets
 # on their seed corpora plus 10s of new inputs each, run the end-to-end
 # save/load/serve smoke (binary-format artifact, boot-to-ready timed)
 # against a real
@@ -107,10 +108,12 @@ echo "== allocation gate (compiled single-point predict must not allocate)"
 # allocs/op via testing.AllocsPerRun) and instrumented builds allocate.
 go test -timeout 60s ./internal/ml -run '^TestCompiledPredictZeroAllocs$' -count=1 -v | grep -E '^(=== RUN|--- (PASS|FAIL)|ok)' || exit 1
 
-echo "== bench smoke (pointer vs compiled inference, 100 iterations)"
+echo "== bench smoke (pointer vs compiled inference, planners; 100 iterations)"
 # Not a perf gate (CI machines vary) — this just proves the benchmarks
-# run and keeps the pointer-walk baseline compiling.
+# run: the pointer-walk reference they compare against lives in the
+# ml test files, and the planner benchmarks are the ones README quotes.
 go test -timeout 120s ./internal/ml -run '^$' -bench 'Predict(Pointer|Compiled)' -benchtime 100x
+go test -timeout 120s ./internal/placement -run '^$' -bench 'MinMakespanPlan|GreedyLoadBalanceTrained' -benchtime 100x
 
 echo "== fuzz smoke (FuzzCompileTree, 10s)"
 go test -timeout 60s ./internal/ml -run '^$' -fuzz '^FuzzCompileTree$' -fuzztime 10s

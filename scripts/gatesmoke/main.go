@@ -109,15 +109,11 @@ func runLeg(daemon, gateBin string, cacheEntries int) {
 		cmd := exec.Command(daemon, args...)
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
-		check(cmd.Start(), "start replica")
+		start(cmd, "start replica")
 		procs = append(procs, cmd)
 		replicaAddrs = append(replicaAddrs, "http://"+strings.TrimSpace(waitForFile(addrfile, 10*time.Second)))
 	}
-	defer func() {
-		for _, p := range procs {
-			p.Process.Kill()
-		}
-	}()
+	defer killAll() // a panic still runs deferred calls
 	gateAddrfile := filepath.Join(dir, "gate.addr")
 	gateArgs := []string{
 		"-backends", strings.Join(replicaAddrs, ","),
@@ -132,7 +128,7 @@ func runLeg(daemon, gateBin string, cacheEntries int) {
 	gateCmd := exec.Command(gateBin, gateArgs...)
 	gateCmd.Stdout = os.Stderr
 	gateCmd.Stderr = os.Stderr
-	check(gateCmd.Start(), "start gate")
+	start(gateCmd, "start gate")
 	procs = append(procs, gateCmd)
 	gateURL := "http://" + strings.TrimSpace(waitForFile(gateAddrfile, 10*time.Second))
 	waitFor(gateURL+"/readyz", http.StatusOK, 10*time.Second)
@@ -196,10 +192,10 @@ func runLeg(daemon, gateBin string, cacheEntries int) {
 	close(stopTraffic)
 	wg.Wait()
 	if failed.Load() > 0 {
-		log.Fatalf("%d of %d requests failed across the live promotion — hot reload dropped traffic", failed.Load(), sent.Load())
+		fatalf("%d of %d requests failed across the live promotion — hot reload dropped traffic", failed.Load(), sent.Load())
 	}
 	if stale.Load() > 0 {
-		log.Fatalf("%d of %d responses were stamped with an unpublished model SHA — the cache served stale plans", stale.Load(), sent.Load())
+		fatalf("%d of %d responses were stamped with an unpublished model SHA — the cache served stale plans", stale.Load(), sent.Load())
 	}
 	log.Printf("zero drops: %d requests served across the v1->v2 promotion", sent.Load())
 
@@ -212,7 +208,7 @@ func runLeg(daemon, gateBin string, cacheEntries int) {
 		var rp serve.ReplanResponse
 		getJSON(a+"/replanz", &rp)
 		if rp.Version != "v2" || rp.Epochs == nil {
-			log.Fatalf("replica %s /replanz: %+v", a, rp)
+			fatalf("replica %s /replanz: %+v", a, rp)
 		}
 	}
 
@@ -238,7 +234,7 @@ func runLeg(daemon, gateBin string, cacheEntries int) {
 		versions := auditVersions(dir, want)
 		flip := strings.Join(dedup(versions), ",")
 		if flip != "v1,v2" {
-			log.Fatalf("replica %d audit log shows versions %q, want a clean v1,v2 flip", i, flip)
+			fatalf("replica %d audit log shows versions %q, want a clean v1,v2 flip", i, flip)
 		}
 		log.Printf("replica %d audit log: %d plans, clean v1->v2 flip", i, len(versions))
 	}
@@ -261,7 +257,7 @@ func cacheLegChecks(gateURL, shaV2 string) {
 			break
 		}
 		if time.Now().After(deadline) {
-			log.Fatalf("post-promotion repeat never served from cache with v2's SHA (ok=%v hit=%v sha=%q)", res.ok, res.cacheHit, res.sha)
+			fatalf("post-promotion repeat never served from cache with v2's SHA (ok=%v hit=%v sha=%q)", res.ok, res.cacheHit, res.sha)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -269,10 +265,10 @@ func cacheLegChecks(gateURL, shaV2 string) {
 	var fleet gate.FleetResponse
 	getJSON(gateURL+"/fleetz", &fleet)
 	if fleet.Cache == nil {
-		log.Fatal("cache leg /fleetz has no cache block")
+		fatalf("cache leg /fleetz has no cache block")
 	}
 	if fleet.Cache.Hits == 0 {
-		log.Fatalf("gate cache served zero hits across the run: %+v", fleet.Cache)
+		fatalf("gate cache served zero hits across the run: %+v", fleet.Cache)
 	}
 	log.Printf("gate cache: %d hits / %d misses (%.0f%% hit rate), %d collapsed",
 		fleet.Cache.Hits, fleet.Cache.Misses, 100*fleet.Cache.HitRate, fleet.Cache.Collapsed)
@@ -329,7 +325,7 @@ func auditVersions(dir string, want map[string]string) []string {
 	entries, err := os.ReadDir(dir)
 	check(err, "read plan log")
 	if len(entries) == 0 {
-		log.Fatalf("plan log %s is empty", dir)
+		fatalf("plan log %s is empty", dir)
 	}
 	var versions []string
 	for _, e := range entries { // ReadDir sorts by name = plan sequence
@@ -339,10 +335,10 @@ func auditVersions(dir string, want map[string]string) []string {
 		check(err, "validate plan record")
 		sha, ok := want[rec.ModelVersion]
 		if !ok {
-			log.Fatalf("plan %s stamped with unknown version %q", e.Name(), rec.ModelVersion)
+			fatalf("plan %s stamped with unknown version %q", e.Name(), rec.ModelVersion)
 		}
 		if rec.ModelSHA256 != sha {
-			log.Fatalf("plan %s: version %s stamped sha %s, registry has %s", e.Name(), rec.ModelVersion, rec.ModelSHA256, sha)
+			fatalf("plan %s: version %s stamped sha %s, registry has %s", e.Name(), rec.ModelVersion, rec.ModelSHA256, sha)
 		}
 		versions = append(versions, rec.ModelVersion)
 	}
@@ -386,7 +382,7 @@ func waitForVersions(dirs []string, version string, timeout time.Duration) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	log.Fatalf("not every replica served a %s-planned request within %s", version, timeout)
+	fatalf("not every replica served a %s-planned request within %s", version, timeout)
 }
 
 // waitForFleetVersion waits until the gate's /fleetz shows every replica
@@ -407,7 +403,7 @@ func waitForFleetVersion(gateURL, version string, timeout time.Duration) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	log.Fatalf("gate fleet view never converged on %s", version)
+	fatalf("gate fleet view never converged on %s", version)
 }
 
 func getJSON(url string, out any) {
@@ -428,7 +424,7 @@ func waitFor(url string, status int, timeout time.Duration) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	log.Fatalf("%s never answered %d", url, status)
+	fatalf("%s never answered %d", url, status)
 }
 
 func waitExit(cmd *exec.Cmd, timeout time.Duration) {
@@ -440,7 +436,7 @@ func waitExit(cmd *exec.Cmd, timeout time.Duration) {
 	case err := <-done:
 		check(err, "process exit status")
 	case <-ctx.Done():
-		log.Fatal("process did not exit within the drain budget")
+		fatalf("process did not exit within the drain budget")
 	}
 }
 
@@ -452,12 +448,40 @@ func waitForFile(path string, timeout time.Duration) string {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	log.Fatalf("process never wrote %s", path)
+	fatalf("process never wrote %s", path)
 	return ""
+}
+
+// daemons is every process this smoke started. log.Fatal exits without
+// running deferred calls, so every failure path goes through fatalf,
+// which kills and reaps them first: a failing smoke leaves no daemon
+// running. Only the main goroutine starts daemons or fails.
+var daemons []*exec.Cmd
+
+// start launches cmd and records it for fatalf.
+func start(cmd *exec.Cmd, what string) {
+	check(cmd.Start(), what)
+	daemons = append(daemons, cmd)
+}
+
+// killAll kills and reaps every started daemon that is still running.
+func killAll() {
+	for _, c := range daemons {
+		if c.Process.Kill() == nil {
+			// Reap it; a killed daemon's exit status carries nothing.
+			_, _ = c.Process.Wait()
+		}
+	}
+}
+
+// fatalf kills every started daemon, then logs and exits 1.
+func fatalf(format string, args ...any) {
+	killAll()
+	log.Fatalf(format, args...)
 }
 
 func check(err error, what string) {
 	if err != nil {
-		log.Fatalf("%s: %v", what, err)
+		fatalf("%s: %v", what, err)
 	}
 }

@@ -62,8 +62,8 @@ func main() {
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	boot := time.Now()
-	check(cmd.Start(), "start daemon")
-	defer cmd.Process.Kill()
+	start(cmd, "start daemon")
+	defer killAll() // a panic still runs deferred calls
 
 	addr := waitForFile(addrfile, 10*time.Second)
 	base := "http://" + strings.TrimSpace(addr)
@@ -91,19 +91,19 @@ func main() {
 	check(json.NewDecoder(resp.Body).Decode(&out), "decode response")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("/place answered %d", resp.StatusCode)
+		fatalf("/place answered %d", resp.StatusCode)
 	}
 	if len(out.Tasks) != 1 || out.Tasks[0].Name != "smoke" || out.BatchSize != 1 {
-		log.Fatalf("/place returned a bad plan: %+v", out)
+		fatalf("/place returned a bad plan: %+v", out)
 	}
 	if out.Tasks[0].Predicted <= 0 || out.Makespan <= 0 {
-		log.Fatalf("/place predicted nothing: %+v", out)
+		fatalf("/place predicted nothing: %+v", out)
 	}
 	// An -artifact daemon names its model after the file.
 	wantSHA, _, err := store.FileSHA256(artifact)
 	check(err, "hash artifact")
 	if out.ModelVersion != filepath.Base(artifact) || out.ModelSHA256 != wantSHA {
-		log.Fatalf("/place stamped model %q sha %q, want %q sha %q",
+		fatalf("/place stamped model %q sha %q, want %q sha %q",
 			out.ModelVersion, out.ModelSHA256, filepath.Base(artifact), wantSHA)
 	}
 	log.Printf("placement served (makespan %.3fs)", out.Makespan)
@@ -113,7 +113,7 @@ func main() {
 	check(err, "POST invalid /place")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		log.Fatalf("invalid request answered %d, want 400", resp.StatusCode)
+		fatalf("invalid request answered %d, want 400", resp.StatusCode)
 	}
 
 	// Drain: SIGTERM must exit 0 within the budget.
@@ -126,7 +126,7 @@ func main() {
 	case err := <-done:
 		check(err, "daemon exit status")
 	case <-ctx.Done():
-		log.Fatal("daemon did not drain within 15s of SIGTERM")
+		fatalf("daemon did not drain within 15s of SIGTERM")
 	}
 	log.Print("daemon drained cleanly")
 
@@ -134,22 +134,16 @@ func main() {
 	entries, err := os.ReadDir(planlog)
 	check(err, "read plan log")
 	if len(entries) == 0 {
-		log.Fatal("plan log is empty")
+		fatalf("plan log is empty")
 	}
 	a, err := store.ReadFile(filepath.Join(planlog, entries[0].Name()))
 	check(err, "decode plan artifact")
 	rec, err := a.Plan()
 	check(err, "validate plan record")
 	if len(rec.Tasks) == 0 || rec.Tasks[0] != "smoke" {
-		log.Fatalf("plan log mangled: %+v", rec)
+		fatalf("plan log mangled: %+v", rec)
 	}
 	fmt.Println("servesmoke: PASS")
-}
-
-func check(err error, what string) {
-	if err != nil {
-		log.Fatalf("%s: %v", what, err)
-	}
 }
 
 func expectGet(url string, want int) {
@@ -157,7 +151,7 @@ func expectGet(url string, want int) {
 	check(err, "GET "+url)
 	resp.Body.Close()
 	if resp.StatusCode != want {
-		log.Fatalf("GET %s answered %d, want %d", url, resp.StatusCode, want)
+		fatalf("GET %s answered %d, want %d", url, resp.StatusCode, want)
 	}
 }
 
@@ -172,7 +166,7 @@ func waitForReady(url string, timeout time.Duration) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	log.Fatalf("daemon never answered 200 on %s", url)
+	fatalf("daemon never answered 200 on %s", url)
 }
 
 func waitForFile(path string, timeout time.Duration) string {
@@ -183,6 +177,40 @@ func waitForFile(path string, timeout time.Duration) string {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	log.Fatalf("daemon never wrote %s", path)
+	fatalf("daemon never wrote %s", path)
 	return ""
+}
+
+// daemons is every process this smoke started. log.Fatal exits without
+// running deferred calls, so every failure path goes through fatalf,
+// which kills and reaps them first: a failing smoke leaves no daemon
+// running. Only the main goroutine starts daemons or fails.
+var daemons []*exec.Cmd
+
+// start launches cmd and records it for fatalf.
+func start(cmd *exec.Cmd, what string) {
+	check(cmd.Start(), what)
+	daemons = append(daemons, cmd)
+}
+
+// killAll kills and reaps every started daemon that is still running.
+func killAll() {
+	for _, c := range daemons {
+		if c.Process.Kill() == nil {
+			// Reap it; a killed daemon's exit status carries nothing.
+			_, _ = c.Process.Wait()
+		}
+	}
+}
+
+// fatalf kills every started daemon, then logs and exits 1.
+func fatalf(format string, args ...any) {
+	killAll()
+	log.Fatalf(format, args...)
+}
+
+func check(err error, what string) {
+	if err != nil {
+		fatalf("%s: %v", what, err)
+	}
 }

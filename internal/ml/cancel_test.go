@@ -33,6 +33,28 @@ func TestGradientBoostedFitContextCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || !errors.Is(err, merr.ErrCanceled) {
 		t.Fatalf("want dual-matchable cancellation error, got %v", err)
 	}
+
+	// A canceled refit leaves even a fitted model unfitted: a fit either
+	// completes or leaves nothing to serve.
+	if err := gbr.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	if err := gbr.FitContext(ctx, X, y); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled refit: %v", err)
+	}
+	assertUnfitted(t, gbr, X[0])
+}
+
+// assertUnfitted requires a model to behave as never fitted: it
+// predicts 0 and has no flat form to dump.
+func assertUnfitted(t *testing.T, m Regressor, x []float64) {
+	t.Helper()
+	if p := m.Predict(x); p != 0 {
+		t.Fatalf("%s predicts %v after a canceled refit, want 0", m.Name(), p)
+	}
+	if _, err := DumpFlat(m); !errors.Is(err, ErrNotFitted) {
+		t.Fatalf("%s dumps after a canceled refit: %v, want ErrNotFitted", m.Name(), err)
+	}
 }
 
 func TestRandomForestFitContextCanceled(t *testing.T) {
@@ -44,6 +66,13 @@ func TestRandomForestFitContextCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || !errors.Is(err, merr.ErrCanceled) {
 		t.Fatalf("want dual-matchable cancellation error, got %v", err)
 	}
+	if err := rf.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	if err := rf.FitContext(ctx, X, y); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled refit: %v", err)
+	}
+	assertUnfitted(t, rf, X[0])
 }
 
 func TestFitFallsBackToUpfrontCheck(t *testing.T) {

@@ -39,8 +39,9 @@ func (c ForestConfig) withDefaults() ForestConfig {
 type RandomForest struct {
 	Config ForestConfig
 
-	trees       []*DecisionTree
-	compiled    *CompiledForest
+	trees []*DecisionTree
+	// tab holds every tree in fit order; it is what Predict walks.
+	tab         nodeTable
 	importances []float64
 	fitted      bool
 }
@@ -59,9 +60,9 @@ func (f *RandomForest) Fit(X [][]float64, y []float64) error {
 }
 
 // FitContext implements ContextFitter: workers stop claiming trees once
-// ctx is done and the fit returns a canceled error without marking the
-// model fitted. With a live context the trained forest is byte-identical
-// to Fit.
+// ctx is done and the fit returns a canceled error, leaving the model
+// unfitted. With a live context the trained forest is byte-identical to
+// Fit.
 func (f *RandomForest) FitContext(ctx context.Context, X [][]float64, y []float64) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -69,6 +70,7 @@ func (f *RandomForest) FitContext(ctx context.Context, X [][]float64, y []float6
 	if err := validate(X, y); err != nil {
 		return err
 	}
+	f.fitted = false
 	d := len(X[0])
 	maxFeatures := f.Config.MaxFeatures
 	if maxFeatures <= 0 {
@@ -134,35 +136,36 @@ func (f *RandomForest) FitContext(ctx context.Context, X [][]float64, y []float6
 			f.importances[i] /= sum
 		}
 	}
+	f.tab = ensembleTable(f.trees)
 	f.fitted = true
-	compiled, err := compileForest(f.trees, f.Config.Workers)
-	if err != nil {
-		f.fitted = false
-		return err
-	}
-	f.compiled = compiled
 	return nil
 }
 
-// Predict implements Regressor (mean of tree predictions) on the
-// compiled node table; allocation-free.
+// Predict implements Regressor (mean of tree predictions) on the node
+// table; allocation-free.
 func (f *RandomForest) Predict(x []float64) float64 {
 	if !f.fitted {
 		return 0
 	}
-	return f.compiled.Predict(x)
+	return f.tab.accumulate(0, 1, x) / float64(len(f.tab.roots))
 }
 
-// PredictAll implements BatchRegressor through the compiled batch
-// kernel: row chunks run concurrently, each chunk iterates trees in fit
-// order over row blocks, so PredictAll(X)[i] == Predict(X[i])
-// bit-for-bit while one tree's node table stays cache-hot per block.
+// PredictAll implements BatchRegressor through the batch kernel: row
+// chunks run concurrently, each chunk iterates trees in fit order over
+// row blocks, so PredictAll(X)[i] == Predict(X[i]) bit-for-bit while
+// one tree's nodes stay cache-hot per block.
 func (f *RandomForest) PredictAll(X [][]float64) []float64 {
 	out := make([]float64, len(X))
 	if !f.fitted {
 		return out
 	}
-	f.compiled.predictAllInto(X, out, f.Config.Workers)
+	n := float64(len(f.tab.roots))
+	parallelChunks(len(X), f.Config.Workers, func(lo, hi int) {
+		f.tab.batchSum(X, out, lo, hi, 0, 1)
+		for i := lo; i < hi; i++ {
+			out[i] /= n
+		}
+	})
 	return out
 }
 
@@ -214,9 +217,10 @@ func (c GBRConfig) withDefaults() GBRConfig {
 type GradientBoosted struct {
 	Config GBRConfig
 
-	base        float64
-	trees       []*DecisionTree
-	compiled    *CompiledGBR
+	base  float64
+	trees []*DecisionTree
+	// tab holds every stage's tree in fit order; it is what Predict walks.
+	tab         nodeTable
 	importances []float64
 	fitted      bool
 	// predictions is resolved once at construction so the per-call cost of
@@ -238,111 +242,38 @@ func (g *GradientBoosted) Fit(X [][]float64, y []float64) error {
 	return g.FitContext(context.Background(), X, y)
 }
 
-// FitContext implements ContextFitter: the context is checked between
+// FitContext implements ContextFitter by running FitPaced over a feed
+// that holds all rows as one group: the context is checked between
 // boosting stages, so cancellation aborts within one stage (one tree fit
-// plus one residual pass) without marking the model fitted. With a live
+// plus one residual pass) and leaves the model unfitted. With a live
 // context the trained model is byte-identical to Fit.
 func (g *GradientBoosted) FitContext(ctx context.Context, X [][]float64, y []float64) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := validate(X, y); err != nil {
 		return err
 	}
-	defer g.Config.Obs.WallTimer("ml.gbr.fit_seconds").Start()()
-	g.Config.Obs.Counter("ml.gbr.fits").Inc()
-	n := len(X)
-	d := len(X[0])
-	rng := rand.New(rand.NewSource(g.Config.Seed))
-
-	var sum float64
-	for _, v := range y {
-		sum += v
-	}
-	g.base = sum / float64(n)
-	g.importances = make([]float64, d)
-
-	residual := make([]float64, n)
-	pred := make([]float64, n)
-	for i := range pred {
-		pred[i] = g.base
-	}
-	g.trees = g.trees[:0]
-	sampleSize := int(float64(n) * g.Config.Subsample)
-	if sampleSize < 1 {
-		sampleSize = 1
-	}
-	for stage := 0; stage < g.Config.NumStages; stage++ {
-		if err := merr.FromContext(ctx, "ml: boosting canceled"); err != nil {
-			return err
-		}
-		for i := range residual {
-			residual[i] = y[i] - pred[i]
-		}
-		bx, by := X, residual
-		if sampleSize < n {
-			idx := rng.Perm(n)[:sampleSize]
-			bx = make([][]float64, sampleSize)
-			by = make([]float64, sampleSize)
-			for k, j := range idx {
-				bx[k], by[k] = X[j], residual[j]
-			}
-		}
-		tree := NewDecisionTree(TreeConfig{
-			MaxDepth:       g.Config.MaxDepth,
-			MinSamplesLeaf: g.Config.MinSamplesLeaf,
-			Seed:           rng.Int63(),
-		})
-		if err := tree.Fit(bx, by); err != nil {
-			return err
-		}
-		g.trees = append(g.trees, tree)
-		for j, v := range tree.Importances() {
-			g.importances[j] += v
-		}
-		// The residual update walks the new tree once per row through its
-		// just-compiled table; rows are independent, so chunk them across
-		// workers.
-		parallelChunks(n, g.Config.Workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				pred[i] += g.Config.LearningRate * tree.flat.Predict(X[i])
-			}
-		})
-	}
-	var isum float64
-	for _, v := range g.importances {
-		isum += v
-	}
-	if isum > 0 {
-		for i := range g.importances {
-			g.importances[i] /= isum
-		}
-	}
-	g.fitted = true
-	compiled, err := compileGBR(g.base, g.Config.LearningRate, g.trees, g.Config.Workers)
-	if err != nil {
-		g.fitted = false
+	feed := NewFeed()
+	if err := feed.Push(X, y); err != nil {
 		return err
 	}
-	g.compiled = compiled
-	return nil
+	feed.Close(nil)
+	return g.FitPaced(ctx, feed, PaceConfig{Groups: 1, Ramp: -1})
 }
 
-// Predict implements Regressor on the compiled node table; aside from
-// the observability counter it allocates nothing.
+// Predict implements Regressor on the node table, accumulating the
+// stages in fit order; aside from the observability counter it
+// allocates nothing.
 func (g *GradientBoosted) Predict(x []float64) float64 {
 	if !g.fitted {
 		return 0
 	}
 	g.predictions.Inc()
-	return g.compiled.Predict(x)
+	return g.tab.accumulate(g.base, g.Config.LearningRate, x)
 }
 
-// PredictAll implements BatchRegressor through the compiled batch
-// kernel: row chunks run concurrently, each chunk accumulates the
-// stages in fit order over row blocks, so PredictAll(X)[i] ==
-// Predict(X[i]) bit-for-bit while one stage's node table stays
-// cache-hot per block.
+// PredictAll implements BatchRegressor through the batch kernel: row
+// chunks run concurrently, each chunk accumulates the stages in fit
+// order over row blocks, so PredictAll(X)[i] == Predict(X[i])
+// bit-for-bit while one stage's nodes stay cache-hot per block.
 func (g *GradientBoosted) PredictAll(X [][]float64) []float64 {
 	out := make([]float64, len(X))
 	if !g.fitted {
@@ -350,7 +281,9 @@ func (g *GradientBoosted) PredictAll(X [][]float64) []float64 {
 	}
 	defer g.Config.Obs.WallTimer("ml.gbr.predict_seconds").Start()()
 	g.predictions.Add(float64(len(X)))
-	g.compiled.predictAllInto(X, out, g.Config.Workers)
+	parallelChunks(len(X), g.Config.Workers, func(lo, hi int) {
+		g.tab.batchSum(X, out, lo, hi, g.base, g.Config.LearningRate)
+	})
 	return out
 }
 

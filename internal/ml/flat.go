@@ -4,7 +4,7 @@ package ml
 // kernel's interleaved NodeRec table IS the wire format. DumpFlat
 // exposes a fitted ensemble's node table, tree index and metadata
 // without copying the hot arrays; LoadFlat ingests them straight back
-// into a servable model — no pointer tree, no re-compile, no refit.
+// into a servable model — no pointer tree, no relayout, no refit.
 // Runtime knobs that do not affect predictions (worker counts,
 // observability registries) are not persisted and are re-attached at
 // load time via LoadOptions. The binary artifact sections of
@@ -13,13 +13,17 @@ package ml
 // plus an O(n) structural validation pass over flat memory.
 //
 // Validation is strict and bounded: a hostile table is rejected by
-// replaying the exact breadth-first allocation discipline appendTree
-// uses (each internal node's left child must be the next unallocated
-// slot, leaves must self-loop on a +Inf threshold), re-deriving every
-// tree's height, and bounding depth, feature indices and float
-// finiteness — so the branch-free walk kernels can never index out of
-// range, loop forever, or compare NaNs. Every violation classifies as
-// merr.ErrBadArtifact.
+// bounding every tree's slot range by the table, replaying the exact
+// breadth-first allocation discipline appendTree uses (each internal
+// node's left child must be the next unallocated slot, leaves must
+// self-loop on a +Inf threshold), re-deriving every tree's height, and
+// bounding depth, feature indices and float finiteness — so the
+// branch-free walk kernels never leave the table, loop forever, or
+// compare NaNs. Feature indices are bounded only by maxFeatureIndex:
+// the table does not know the feature vector it will be fed, so the
+// caller that pairs a model with its features must check the table's
+// largest split feature against them (merchandiser's restore does).
+// Every violation classifies as merr.ErrBadArtifact.
 
 import (
 	"encoding/binary"
@@ -180,7 +184,7 @@ type LoadOptions struct {
 	Obs *obs.Registry
 }
 
-// DumpFlat exposes a fitted ensemble's compiled table for
+// DumpFlat exposes a fitted ensemble's node table for
 // serialization. The returned slices alias the model's own kernel
 // table — no node is copied — so the caller must treat them as
 // read-only. Only the ensembles persist: a lone tree, SVR, KNN and MLP
@@ -192,10 +196,10 @@ func DumpFlat(m Regressor) (*FlatModel, error) {
 	var meta FlatMeta
 	switch v := m.(type) {
 	case *GradientBoosted:
-		if !v.fitted || v.compiled == nil {
+		if !v.fitted {
 			return nil, ErrNotFitted
 		}
-		tab = &v.compiled.tab
+		tab = &v.tab
 		c := v.Config
 		meta = FlatMeta{
 			Kind: v.Name(),
@@ -211,10 +215,10 @@ func DumpFlat(m Regressor) (*FlatModel, error) {
 			Importances: v.Importances(),
 		}
 	case *RandomForest:
-		if !v.fitted || v.compiled == nil {
+		if !v.fitted {
 			return nil, ErrNotFitted
 		}
-		tab = &v.compiled.tab
+		tab = &v.tab
 		c := v.Config
 		meta = FlatMeta{
 			Kind: v.Name(),
@@ -234,9 +238,8 @@ func DumpFlat(m Regressor) (*FlatModel, error) {
 }
 
 // LoadFlat reconstructs a servable ensemble from its flat form without
-// building pointer trees and without re-compiling: the given node
-// table becomes the model's kernel table as-is, after a strict
-// structural validation. The model predicts bit-for-bit what the dumped
+// building pointer trees: the given node table becomes the model's
+// kernel table as-is, after a strict structural validation. The model predicts bit-for-bit what the dumped
 // model did.
 func LoadFlat(f *FlatModel, opt LoadOptions) (Regressor, error) {
 	if f == nil {
@@ -265,8 +268,8 @@ func LoadFlat(f *FlatModel, opt LoadOptions) (Regressor, error) {
 		})
 		g.base = meta.Base
 		g.importances = append([]float64(nil), meta.Importances...)
+		g.tab = tab
 		g.fitted = true
-		g.compiled = &CompiledGBR{tab: tab, base: meta.Base, lr: p.LearningRate, Workers: opt.Workers}
 		return g, nil
 	default: // "RFR", enforced by validateFlatMeta
 		p := meta.Forest
@@ -279,8 +282,8 @@ func LoadFlat(f *FlatModel, opt LoadOptions) (Regressor, error) {
 			Workers:        opt.Workers,
 		})
 		rf.importances = append([]float64(nil), meta.Importances...)
+		rf.tab = tab
 		rf.fitted = true
-		rf.compiled = &CompiledForest{tab: tab, Workers: opt.Workers}
 		return rf, nil
 	}
 }
@@ -318,12 +321,14 @@ func validateFlatMeta(m *FlatMeta) error {
 
 // validateNodeTable proves a flat table safe for the walk kernels by
 // replaying appendTree's breadth-first allocation discipline over every
-// tree range: the root is the range's first slot, each internal node's
-// left child is the next unallocated slot (its right sibling follows
-// immediately), leaves self-loop on a +Inf threshold, every slot is
-// allocated exactly once, and the declared per-tree height matches the
-// one re-derived from the structure. A table that passes can never
-// index out of range or run a lane past its leaf.
+// tree range: ranges are non-empty and lie inside the table, the root is
+// the range's first slot, each internal node's left child is the next
+// unallocated slot (its right sibling follows immediately), leaves
+// self-loop on a +Inf threshold, every slot is allocated exactly once,
+// and the declared per-tree height matches the one re-derived from the
+// structure. A table that passes never walks outside its own nodes or
+// runs a lane past its leaf; whether its split features fit a given
+// feature vector is the caller's check.
 func validateNodeTable(nodes []NodeRec, roots, depth []int32) error {
 	n := int32(len(nodes))
 	if len(roots) == 0 {
@@ -342,8 +347,8 @@ func validateNodeTable(nodes []NodeRec, roots, depth []int32) error {
 		if k+1 < len(roots) {
 			hi = roots[k+1]
 		}
-		if lo >= hi {
-			return badModel("flat tree %d has an empty or inverted range [%d,%d)", k, lo, hi)
+		if lo >= hi || hi > n {
+			return badModel("flat tree %d has range [%d,%d) in a %d-node table", k, lo, hi, n)
 		}
 		if depth[k] < 0 || depth[k] > maxTreeDepth {
 			return badModel("flat tree %d declares height %d, limit %d", k, depth[k], maxTreeDepth)

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -213,40 +214,6 @@ func TestDumpModelUnsupported(t *testing.T) {
 	}
 }
 
-func TestCompileDumpRejectsMalformedDumps(t *testing.T) {
-	valid := func() []NodeDump {
-		return []NodeDump{
-			{Feature: 0, Threshold: 1, Left: 1, Right: 2},
-			{Value: -1, Leaf: true},
-			{Value: 1, Leaf: true},
-		}
-	}
-	cases := []struct {
-		name   string
-		mutate func([]NodeDump) []NodeDump
-	}{
-		{"empty", func(d []NodeDump) []NodeDump { return nil }},
-		{"out of range child", func(d []NodeDump) []NodeDump { d[0].Right = 9; return d }},
-		{"negative child", func(d []NodeDump) []NodeDump { d[0].Left = -1; return d }},
-		{"self cycle", func(d []NodeDump) []NodeDump { d[0].Left = 0; return d }},
-		{"shared subtree", func(d []NodeDump) []NodeDump { d[0].Right = 1; return d }},
-		{"unreachable node", func(d []NodeDump) []NodeDump { return append(d, NodeDump{Value: 3, Leaf: true}) }},
-		{"nan threshold", func(d []NodeDump) []NodeDump { d[0].Threshold = math.NaN(); return d }},
-		{"inf leaf", func(d []NodeDump) []NodeDump { d[1].Value = math.Inf(1); return d }},
-		{"negative feature", func(d []NodeDump) []NodeDump { d[0].Feature = -2; return d }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := compileDump(tc.mutate(valid())); !errors.Is(err, merr.ErrBadArtifact) {
-				t.Fatalf("got %v, want ErrBadArtifact", err)
-			}
-		})
-	}
-	if _, err := compileDump(valid()); err != nil {
-		t.Fatalf("baseline dump rejected: %v", err)
-	}
-}
-
 // TestLoadFlatRejectsBadUnions: the metadata must name a known kind
 // and carry exactly that kind's parameters, over a non-empty table.
 func TestLoadFlatRejectsBadUnions(t *testing.T) {
@@ -340,9 +307,9 @@ func TestFlatRoundTripForest(t *testing.T) {
 	assertSameFlat(t, want, again)
 }
 
-// TestFlatRoundTripTree: a fitted tree's compiled table, laid out in
-// the kernel's breadth-first form, passes the validator LoadFlat runs
-// and walks to the pointer tree's exact leaf values.
+// TestFlatRoundTripTree: a fitted tree's own kernel table passes the
+// validator LoadFlat runs and walks to the pointer tree's exact leaf
+// values.
 func TestFlatRoundTripTree(t *testing.T) {
 	X, y := serializeTrainingSet(200, 4, 31)
 	for _, depth := range []int{1, 3, 6, 9} {
@@ -350,8 +317,7 @@ func TestFlatRoundTripTree(t *testing.T) {
 		if err := tr.Fit(X, y); err != nil {
 			t.Fatal(err)
 		}
-		var nt nodeTable
-		nt.appendTree(tr.flat)
+		nt := &tr.tab
 		if err := validateNodeTable(nt.nodes, nt.roots, nt.depth); err != nil {
 			t.Fatalf("depth %d: fitted tree's table rejected: %v", depth, err)
 		}
@@ -440,6 +406,12 @@ func TestLoadFlatRejectsCorruptTables(t *testing.T) {
 		{"first root nonzero", func(f *FlatModel) { f.Roots[0] = 1 }},
 		{"inverted range", func(f *FlatModel) { f.Roots[1] = f.Roots[0] }},
 		{"root beyond table", func(f *FlatModel) { f.Roots[len(f.Roots)-1] = int32(len(f.Nodes)) }},
+		// The first tree is intact, so only a range bound keeps its
+		// replay from reading past the last node.
+		{"root past the table", func(f *FlatModel) {
+			f.Nodes = f.Nodes[:f.Roots[1]]
+			f.Roots, f.Depth = []int32{0, f.Roots[1] + 5}, f.Depth[:2]
+		}},
 		{"declared height wrong", func(f *FlatModel) { f.Depth[0]++ }},
 		{"height over limit", func(f *FlatModel) { f.Depth[0] = maxTreeDepth + 1 }},
 		{"leaf not self-looped", func(f *FlatModel) { f.Nodes[leaf].Left++ }},
@@ -504,4 +476,92 @@ func TestFlatLoadedModelRefits(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameFlat(t, want, got)
+}
+
+// FuzzLoadFlat feeds hostile tables to LoadFlat: node records,
+// little-endian int32 root and depth arrays, and a GBR/forest switch
+// over fixed valid metadata. It must never panic, every rejection must
+// classify as ErrBadArtifact, and an accepted model's Predict must
+// equal its PredictAll bit for bit on rows wide enough for every split
+// feature, which drives the table through both 8-lane kernels. Outputs
+// need not be finite: validation admits large finite leaves whose sums
+// overflow.
+func FuzzLoadFlat(f *testing.F) {
+	int32Bytes := func(v []int32) []byte {
+		var b []byte
+		for _, x := range v {
+			b = binary.LittleEndian.AppendUint32(b, uint32(x))
+		}
+		return b
+	}
+	int32s := func(b []byte) []int32 {
+		v := make([]int32, len(b)/4)
+		for i := range v {
+			v[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+		return v
+	}
+	seed := func(fm *FlatModel, gbr bool) {
+		f.Add(AppendNodeRecs(nil, fm.Nodes), int32Bytes(fm.Roots), int32Bytes(fm.Depth), gbr)
+	}
+	X, y := serializeTrainingSet(120, 4, 17)
+	g := NewGradientBoosted(GBRConfig{NumStages: 9, MaxDepth: 2, Seed: 17})
+	rf := NewRandomForest(ForestConfig{NumTrees: 9, MaxDepth: 2, Seed: 17})
+	var fm *FlatModel
+	for _, m := range []Regressor{g, rf} {
+		if err := m.Fit(X, y); err != nil {
+			f.Fatal(err)
+		}
+		var err error
+		if fm, err = DumpFlat(m); err != nil {
+			f.Fatal(err)
+		}
+		seed(fm, m == g)
+	}
+	seed(&FlatModel{Nodes: []NodeRec{{Thresh: math.Inf(1), Pred: 1}}, Roots: []int32{0}, Depth: []int32{0}}, true)
+	// The forest's first tree, declaring a second root past its end.
+	seed(&FlatModel{Nodes: fm.Nodes[:fm.Roots[1]], Roots: []int32{0, fm.Roots[1] + 5}, Depth: fm.Depth[:2]}, false)
+
+	f.Fuzz(func(t *testing.T, nodes, roots, depth []byte, gbr bool) {
+		recs, err := NodeRecsFromBytes(nodes[:len(nodes)/NodeRecBytes*NodeRecBytes])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fm := &FlatModel{Nodes: recs, Roots: int32s(roots), Depth: int32s(depth)}
+		if gbr {
+			fm.Meta = FlatMeta{Kind: "GBR", Base: 0.5, GBR: &GBRParams{NumStages: 1, LearningRate: 0.1, MaxDepth: 1, Subsample: 1}}
+		} else {
+			fm.Meta = FlatMeta{Kind: "RFR", Forest: &ForestParams{NumTrees: 1, MaxDepth: 1}}
+		}
+		m, err := LoadFlat(fm, LoadOptions{Workers: 2})
+		if err != nil {
+			if !errors.Is(err, merr.ErrBadArtifact) {
+				t.Fatalf("rejection not classified as ErrBadArtifact: %v", err)
+			}
+			return
+		}
+		maxFeature := 0
+		for _, nd := range recs {
+			maxFeature = max(maxFeature, int(nd.Feature))
+		}
+		// 19 rows cover two 8-row lanes and a tail. They are overlapping
+		// windows of one buffer, so a table that splits on a feature near
+		// maxFeatureIndex does not cost 19 full-width rows.
+		const rows = 19
+		rng := rand.New(rand.NewSource(int64(len(recs))))
+		buf := make([]float64, maxFeature+rows)
+		for i := range buf {
+			buf[i] = rng.NormFloat64() * 100
+		}
+		probe := make([][]float64, rows)
+		for i := range probe {
+			probe[i] = buf[i : i+maxFeature+1]
+		}
+		all := m.(BatchRegressor).PredictAll(probe)
+		for i, x := range probe {
+			if p := m.Predict(x); math.Float64bits(p) != math.Float64bits(all[i]) {
+				t.Fatalf("row %d: Predict %v, PredictAll %v", i, p, all[i])
+			}
+		}
+	})
 }

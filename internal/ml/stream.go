@@ -170,8 +170,8 @@ type PaceConfig struct {
 	Groups int
 	// Ramp is the fraction of boosting stages that train on a growing
 	// prefix of the feed; 0 means the default 1/3, negative disables
-	// pacing entirely (every stage waits for the full feed, making
-	// FitPaced bit-identical to FitContext on the same rows).
+	// pacing entirely (every stage waits for the full feed and trains on
+	// all of it — how FitContext runs FitPaced over its one group).
 	Ramp float64
 	// MinRows floors the prefix row count: a stage whose scheduled prefix
 	// has fewer rows deterministically extends the prefix group by group
@@ -191,8 +191,9 @@ type PaceConfig struct {
 // regions are still simulating and the pace schedule — not wall-clock
 // arrival order — decides what each stage sees. The fitted model is a
 // pure function of (feed contents, config): byte-identical across
-// worker counts and consumer pacing. With Ramp < 0 and a fully-pushed
-// feed it is bit-identical to FitContext on the concatenated rows.
+// worker counts and consumer pacing. With Ramp < 0 every stage trains on
+// the whole feed; FitContext is this loop over a one-group feed. A fit
+// that fails or is canceled leaves the model unfitted.
 func (g *GradientBoosted) FitPaced(ctx context.Context, feed *Feed, pc PaceConfig) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -285,7 +286,7 @@ func (g *GradientBoosted) FitPaced(ctx context.Context, feed *Feed, pc PaceConfi
 		for i := seen; i < n; i++ {
 			p := g.base
 			for _, t := range g.trees {
-				p += g.Config.LearningRate * t.flat.Predict(X[i])
+				p += g.Config.LearningRate * t.Predict(X[i])
 			}
 			pred = append(pred, p)
 		}
@@ -325,7 +326,7 @@ func (g *GradientBoosted) FitPaced(ctx context.Context, feed *Feed, pc PaceConfi
 		}
 		parallelChunks(n, g.Config.Workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				pred[i] += g.Config.LearningRate * tree.flat.Predict(X[i])
+				pred[i] += g.Config.LearningRate * tree.Predict(X[i])
 			}
 		})
 		release()
@@ -342,12 +343,7 @@ func (g *GradientBoosted) FitPaced(ctx context.Context, feed *Feed, pc PaceConfi
 			g.importances[i] /= isum
 		}
 	}
+	g.tab = ensembleTable(g.trees)
 	g.fitted = true
-	compiled, err := compileGBR(g.base, g.Config.LearningRate, g.trees, g.Config.Workers)
-	if err != nil {
-		g.fitted = false
-		return err
-	}
-	g.compiled = compiled
 	return nil
 }

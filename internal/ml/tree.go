@@ -45,9 +45,9 @@ type DecisionTree struct {
 	// root is the pointer tree built by Fit; it is the construction-time
 	// and reference representation.
 	root *treeNode
-	// flat is the compiled node table every prediction goes through; it
-	// exists for every fitted tree.
-	flat        *CompiledTree
+	// tab is root laid out as a one-tree kernel table; every prediction
+	// walks it.
+	tab         nodeTable
 	importances []float64
 	rng         *rand.Rand
 	fitted      bool
@@ -83,27 +83,28 @@ func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
 			t.importances[i] /= sum
 		}
 	}
-	// Lower the pointer tree into the flat node table through its
-	// preorder flattening; from here on every
-	// prediction walks the compiled layout (bit-identical by
-	// construction — same comparisons, same order).
-	var nodes []NodeDump
-	dumpNode(t.root, &nodes)
-	flat, err := compileDump(nodes)
-	if err != nil {
+	// Lay the pointer tree out as the table every prediction walks
+	// (bit-identical by construction — same comparisons, same order). It
+	// must pass the validator LoadFlat runs, so a tree no artifact could
+	// carry — a NaN split or an infinite leaf from non-finite training
+	// data, or a height past maxTreeDepth — fails here, not at restore.
+	t.tab = nodeTable{}
+	t.tab.appendTree(t.root)
+	if err := validateNodeTable(t.tab.nodes, t.tab.roots, t.tab.depth); err != nil {
 		return err
 	}
-	t.flat = flat
 	t.fitted = true
 	return nil
 }
 
-// Predict implements Regressor; an unfitted tree predicts 0.
+// Predict implements Regressor; an unfitted tree predicts 0. Like the
+// ensemble kernels it expects finite features: a NaN would unpark a
+// walk that reached its leaf early.
 func (t *DecisionTree) Predict(x []float64) float64 {
 	if !t.fitted {
 		return 0
 	}
-	return t.flat.Predict(x)
+	return t.tab.walk(0, t.tab.depth[0], x)
 }
 
 // PredictAll implements BatchRegressor. A single tree walk is already
@@ -115,7 +116,7 @@ func (t *DecisionTree) PredictAll(X [][]float64) []float64 {
 		return out
 	}
 	for i, x := range X {
-		out[i] = t.flat.Predict(x)
+		out[i] = t.tab.walk(0, t.tab.depth[0], x)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,6 +18,7 @@ import (
 
 	"merchandiser"
 	"merchandiser/internal/merr"
+	"merchandiser/internal/obs"
 	"merchandiser/internal/registry"
 	"merchandiser/internal/store"
 )
@@ -123,6 +125,88 @@ func TestReloadWithoutSourceFails(t *testing.T) {
 	defer shutdown(t, s)
 	if _, _, err := s.Reload(context.Background()); !errors.Is(err, merr.ErrBadSpec) {
 		t.Fatalf("reload without source: %v, want ErrBadSpec", err)
+	}
+}
+
+// TestReloadRejectsUnsafeModels: promoting an artifact whose model
+// would crash the replica — a tree range that runs past the node table,
+// or a split feature past the event list stored beside the model —
+// fails Reload with ErrBadArtifact and counts a reload error, and the
+// replica keeps answering /place with the model it had.
+func TestReloadRejectsUnsafeModels(t *testing.T) {
+	sys, err := merchandiser.NewSystem(testSystem(t).Spec, merchandiser.TrainQuick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var good bytes.Buffer
+	if err := sys.Snapshot(&good); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	write := func(name string, mutate func(*store.Artifact) error) string {
+		t.Helper()
+		a, err := store.Decode(bytes.NewReader(good.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mutate(a); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := store.WriteFile(path, a); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	path := write("good.merch", func(*store.Artifact) error { return nil })
+	bad := []string{
+		// The first tree intact, the second root past the last node.
+		write("root-past-table.merch", func(a *store.Artifact) error {
+			fm, err := a.ModelFlat()
+			if err != nil {
+				return err
+			}
+			fm.Nodes = fm.Nodes[:fm.Roots[1]]
+			fm.Roots, fm.Depth = []int32{0, fm.Roots[1] + 5}, fm.Depth[:2]
+			return a.SetModelFlat(fm)
+		}),
+		// The model's last event dropped: its r_dram splits now index
+		// past the feature vector.
+		write("short-events.merch", func(a *store.Artifact) error {
+			st, err := a.System()
+			if err != nil {
+				return err
+			}
+			st.Events = st.Events[:len(st.Events)-1]
+			return a.SetSystem(st)
+		}),
+	}
+
+	version := "v1"
+	reg := obs.New()
+	s := New(Config{Obs: reg, Source: func(context.Context) (string, string, error) { return path, version, nil }})
+	defer shutdown(t, s)
+	if _, reloaded, err := s.Reload(context.Background()); err != nil || !reloaded {
+		t.Fatalf("good reload: %v %v", reloaded, err)
+	}
+	want, err := s.Place(context.Background(), testRequest("x", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range bad {
+		path, version = p, fmt.Sprintf("v%d", i+2)
+		info, reloaded, err := s.Reload(context.Background())
+		if !errors.Is(err, merr.ErrBadArtifact) || reloaded || info.Version != "v1" {
+			t.Fatalf("%s: reload %+v %v %v, want ErrBadArtifact and v1 still loaded", filepath.Base(p), info, reloaded, err)
+		}
+		if got := reg.Counter("serve.reload_errors").Value(); got != float64(i+1) {
+			t.Fatalf("%s: serve.reload_errors = %v, want %d", filepath.Base(p), got, i+1)
+		}
+		got, err := s.Place(context.Background(), testRequest("x", 3))
+		if err != nil {
+			t.Fatalf("%s: place after the failed reload: %v", filepath.Base(p), err)
+		}
+		sameJSON(t, filepath.Base(p), got, want)
 	}
 }
 

@@ -7,7 +7,7 @@
 # quota ledger) under the race detector, hold the compiled
 # inference engine to zero allocations per single-point predict and
 # smoke its pointer-vs-compiled benchmarks and the planner benchmarks,
-# smoke the compile-tree, event-encoder, artifact-decoder and
+# smoke the flat-table loader, event-encoder, artifact-decoder and
 # binary-slot-decoder fuzz targets
 # on their seed corpora plus 10s of new inputs each, run the end-to-end
 # save/load/serve smoke (binary-format artifact, boot-to-ready timed)
@@ -115,8 +115,8 @@ echo "== bench smoke (pointer vs compiled inference, planners; 100 iterations)"
 go test -timeout 120s ./internal/ml -run '^$' -bench 'Predict(Pointer|Compiled)' -benchtime 100x
 go test -timeout 120s ./internal/placement -run '^$' -bench 'MinMakespanPlan|GreedyLoadBalanceTrained' -benchtime 100x
 
-echo "== fuzz smoke (FuzzCompileTree, 10s)"
-go test -timeout 60s ./internal/ml -run '^$' -fuzz '^FuzzCompileTree$' -fuzztime 10s
+echo "== fuzz smoke (FuzzLoadFlat, 10s)"
+go test -timeout 60s ./internal/ml -run '^$' -fuzz '^FuzzLoadFlat$' -fuzztime 10s
 
 echo "== fuzz smoke (FuzzEventEncode, 10s)"
 go test -timeout 60s ./internal/obs -run '^$' -fuzz '^FuzzEventEncode$' -fuzztime 10s

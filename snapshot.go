@@ -169,6 +169,18 @@ func restoreSystem(a *store.Artifact, opts []RestoreOption) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The model reads the vector AppendVector builds: the events in
+		// order, then r_dram. A split past it would index out of range on
+		// the first prediction; an importance vector of another width
+		// means the model was fitted over other events.
+		for _, nd := range fm.Nodes {
+			if int(nd.Feature) > len(st.Events) {
+				return nil, merr.Errorf(merr.ErrBadArtifact, "merchandiser: model splits on feature %d, but %d events give %d features", nd.Feature, len(st.Events), len(st.Events)+1)
+			}
+		}
+		if n := len(fm.Meta.Importances); n != 0 && n != len(st.Events)+1 {
+			return nil, merr.Errorf(merr.ErrBadArtifact, "merchandiser: model has %d feature importances, but %d events give %d features", n, len(st.Events), len(st.Events)+1)
+		}
 		s.Perf.Corr = &model.CorrelationFunc{Model: m, Events: st.Events}
 	}
 	return s, nil

@@ -204,3 +204,76 @@ func TestRestoreRejectsOtherVersions(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreRejectsModelEventMismatch: the model reads the vector
+// AppendVector builds — the events in order, then r_dram — so its split
+// features and importances must fit the event list stored beside it.
+// An artifact naming one event fewer (the r_dram split would index past
+// the vector on the first plan) or one more (an event value would be
+// read as r_dram) fails Restore as ErrBadArtifact.
+func TestRestoreRejectsModelEventMismatch(t *testing.T) {
+	sys, err := NewSystem(testSpec(), TrainQuick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if splits, _ := sys.Perf.Corr.RDramSplits(); len(splits) == 0 {
+		t.Fatal("the quick model never splits on r_dram, so a short event list would not reach the feature check")
+	}
+	events := sys.Perf.Corr.Events
+	craft := func(events []string, importances bool) []byte {
+		t.Helper()
+		a, err := sys.snapshotArtifact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !importances {
+			fm, err := a.ModelFlat()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fm.Meta.Importances = nil
+			if err := a.SetModelFlat(fm); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := a.System()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Events = events
+		if err := a.SetSystem(st); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := a.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	short := events[:len(events)-1]
+	long := append(append([]string(nil), events...), "extra_event")
+	cases := []struct {
+		name        string
+		events      []string
+		importances bool
+	}{
+		{"one event short", short, true},
+		{"one event short without importances", short, false},
+		{"one event extra", long, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			data := craft(tc.events, tc.importances)
+			if _, err := Restore(context.Background(), bytes.NewReader(data)); !errors.Is(err, ErrBadArtifact) {
+				t.Fatalf("got %v, want ErrBadArtifact", err)
+			}
+		})
+	}
+	// The same artifact with its own events restores, with or without
+	// importances: the cases fail on the mismatch, not the harness.
+	for _, importances := range []bool{true, false} {
+		if _, err := Restore(context.Background(), bytes.NewReader(craft(events, importances))); err != nil {
+			t.Fatalf("matching events (importances %v): %v", importances, err)
+		}
+	}
+}

@@ -19,8 +19,10 @@
 package baseline
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"slices"
 	"sort"
 
 	"merchandiser/internal/hm"
@@ -146,6 +148,38 @@ const scoreDecay = 0.97
 // temperature.
 const evictMargin = 1.5
 
+// rankKey orders one management unit of Tick: its per-page score density,
+// then its object's ID and the region's first page; unit indexes Tick's
+// unit slice. A key holds no pointers, so sorting keys moves plain
+// 32-byte values.
+type rankKey struct {
+	density   float64
+	id, start int
+	unit      int
+}
+
+// rankUnits sorts keys by density, hottest first when hottestFirst is set
+// and coldest first otherwise, breaking ties by ascending object ID, then
+// by ascending start page. Object IDs are unique within one hm.Memory and
+// each (object, region) enters a list at most once, and densities are
+// never NaN (candidates need a positive score; scores are sums of
+// non-negative profiler estimates), so the order is total: any correct
+// sort yields the same sequence.
+func rankUnits(keys []rankKey, hottestFirst bool) {
+	slices.SortFunc(keys, func(a, b rankKey) int {
+		if a.density != b.density {
+			if (a.density > b.density) == hottestFirst {
+				return -1
+			}
+			return 1
+		}
+		if a.id != b.id {
+			return cmp.Compare(a.id, b.id)
+		}
+		return cmp.Compare(a.start, b.start)
+	})
+}
+
 // Tick implements hm.Policy.
 func (d *Daemon) Tick(now float64, mem *hm.Memory, tasks []hm.TaskStatus) {
 	if d.Gate != nil {
@@ -183,15 +217,16 @@ func (d *Daemon) Tick(now float64, mem *hm.Memory, tasks []hm.TaskStatus) {
 	// Units of management: regions of RegionPages pages (Merchandiser
 	// overrides to single pages). A region's candidacy is judged by the
 	// per-page score density of its PM-resident pages; eviction by the
-	// density of DRAM-resident pages.
+	// density of DRAM-resident pages. Victims are read only on the
+	// eviction branch, which a NoEvict daemon never reaches, so it does
+	// not collect them.
 	type unit struct {
-		obj     *hm.Object
-		start   int // first page of the region
-		pages   []int
-		density float64
+		obj   *hm.Object
+		pages []int
 	}
 	rp := d.cfg.RegionPages
 	var cands, victims []unit
+	var candKeys, victimKeys []rankKey
 	for obj, sc := range d.scores {
 		n := obj.NumPages()
 		for start := 0; start < n; start += rp {
@@ -205,71 +240,58 @@ func (d *Daemon) Tick(now float64, mem *hm.Memory, tasks []hm.TaskStatus) {
 				if obj.Loc[p] == hm.PM {
 					pmPages = append(pmPages, p)
 					pmScore += sc[p]
-				} else {
+				} else if !d.NoEvict {
 					dramPages = append(dramPages, p)
 					dramScore += sc[p]
 				}
 			}
 			if len(pmPages) > 0 && pmScore > 0 {
-				cands = append(cands, unit{obj, start, pmPages, pmScore / float64(len(pmPages))})
+				candKeys = append(candKeys, rankKey{pmScore / float64(len(pmPages)), obj.ID, start, len(cands)})
+				cands = append(cands, unit{obj, pmPages})
 			}
 			if len(dramPages) > 0 {
-				victims = append(victims, unit{obj, start, dramPages, dramScore / float64(len(dramPages))})
+				victimKeys = append(victimKeys, rankKey{dramScore / float64(len(dramPages)), obj.ID, start, len(victims)})
+				victims = append(victims, unit{obj, dramPages})
 			}
 		}
 	}
 	// DRAM pages of objects the profilers never scored are zero-density
 	// victims.
-	for _, obj := range mem.Objects() {
-		if _, ok := d.scores[obj]; ok {
-			continue
-		}
-		n := obj.NumPages()
-		for start := 0; start < n; start += rp {
-			end := start + rp
-			if end > n {
-				end = n
+	if !d.NoEvict {
+		for _, obj := range mem.Objects() {
+			if _, ok := d.scores[obj]; ok {
+				continue
 			}
-			var dramPages []int
-			for p := start; p < end; p++ {
-				if obj.Loc[p] == hm.DRAM {
-					dramPages = append(dramPages, p)
+			n := obj.NumPages()
+			for start := 0; start < n; start += rp {
+				end := start + rp
+				if end > n {
+					end = n
+				}
+				var dramPages []int
+				for p := start; p < end; p++ {
+					if obj.Loc[p] == hm.DRAM {
+						dramPages = append(dramPages, p)
+					}
+				}
+				if len(dramPages) > 0 {
+					victimKeys = append(victimKeys, rankKey{0, obj.ID, start, len(victims)})
+					victims = append(victims, unit{obj, dramPages})
 				}
 			}
-			if len(dramPages) > 0 {
-				victims = append(victims, unit{obj, start, dramPages, 0})
-			}
 		}
 	}
-	byDensityDesc := func(us []unit) func(a, b int) bool {
-		return func(a, b int) bool {
-			if us[a].density != us[b].density {
-				return us[a].density > us[b].density
-			}
-			if us[a].obj.ID != us[b].obj.ID {
-				return us[a].obj.ID < us[b].obj.ID
-			}
-			return us[a].start < us[b].start
-		}
-	}
-	sort.Slice(cands, byDensityDesc(cands))
-	sort.Slice(victims, func(a, b int) bool {
-		if victims[a].density != victims[b].density {
-			return victims[a].density < victims[b].density
-		}
-		if victims[a].obj.ID != victims[b].obj.ID {
-			return victims[a].obj.ID < victims[b].obj.ID
-		}
-		return victims[a].start < victims[b].start
-	})
+	rankUnits(candKeys, true)
+	rankUnits(victimKeys, false)
 
 	vIdx := 0
 	migrated := 0
 	evicted := map[*hm.Object]map[int]bool{}
-	for _, c := range cands {
+	for _, ck := range candKeys {
 		if migrated >= d.cfg.MaxMigrationsPerTick {
 			break
 		}
+		c := cands[ck.unit]
 		if d.Gate != nil && !d.Gate.Allows(c.obj) {
 			d.GateBlocked += uint64(len(c.pages))
 			continue
@@ -285,9 +307,10 @@ func (d *Daemon) Tick(now float64, mem *hm.Memory, tasks []hm.TaskStatus) {
 					break
 				}
 				// Evict from the coldest DRAM regions, page by page.
-				for vIdx < len(victims) {
-					v := &victims[vIdx]
-					if v.density*evictMargin >= c.density {
+				for vIdx < len(victimKeys) {
+					vk := victimKeys[vIdx]
+					v := &victims[vk.unit]
+					if vk.density*evictMargin >= ck.density {
 						stop = true // nothing clearly colder remains
 						break
 					}

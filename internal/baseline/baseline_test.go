@@ -2,6 +2,10 @@ package baseline
 
 import (
 	"context"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"merchandiser/internal/access"
@@ -322,5 +326,88 @@ func TestSpartaSizeFallbackAndEviction(t *testing.T) {
 	}
 	if err := mem.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sortedUnit is the unit the daemon once sorted in place, with the
+// comparators it sorted candidates and victims by: the reference for
+// rankUnits.
+type sortedUnit struct {
+	obj     *hm.Object
+	start   int
+	density float64
+}
+
+func sortCandsReference(us []sortedUnit) {
+	sort.Slice(us, func(a, b int) bool {
+		if us[a].density != us[b].density {
+			return us[a].density > us[b].density
+		}
+		if us[a].obj.ID != us[b].obj.ID {
+			return us[a].obj.ID < us[b].obj.ID
+		}
+		return us[a].start < us[b].start
+	})
+}
+
+func sortVictimsReference(victims []sortedUnit) {
+	sort.Slice(victims, func(a, b int) bool {
+		if victims[a].density != victims[b].density {
+			return victims[a].density < victims[b].density
+		}
+		if victims[a].obj.ID != victims[b].obj.ID {
+			return victims[a].obj.ID < victims[b].obj.ID
+		}
+		return victims[a].start < victims[b].start
+	})
+}
+
+// rankUnits must order units exactly as the pointer-holding sorts did.
+// The units are drawn so that densities tie often (including -0 against
+// +0, which compare equal), object IDs tie often, and only the start page
+// separates the rest; each (object, start) appears once, as in a tick.
+func TestRankUnitsMatchesSortReference(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	densities := []float64{negZero, 0, 0.25, 1, 1, 3.5, math.Inf(1)}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		objs := make([]*hm.Object, 1+rng.Intn(6))
+		for i := range objs {
+			objs[i] = &hm.Object{ID: i}
+		}
+		var units []sortedUnit
+		for _, o := range objs {
+			for start := 0; start < 64; start += 1 + rng.Intn(4) {
+				if rng.Intn(3) == 0 {
+					continue
+				}
+				d := densities[rng.Intn(len(densities))]
+				if rng.Intn(4) == 0 {
+					d = rng.Float64()
+				}
+				units = append(units, sortedUnit{obj: o, start: start, density: d})
+			}
+		}
+		rng.Shuffle(len(units), func(i, j int) { units[i], units[j] = units[j], units[i] })
+
+		for _, hottestFirst := range []bool{true, false} {
+			keys := make([]rankKey, len(units))
+			for i, u := range units {
+				keys[i] = rankKey{u.density, u.obj.ID, u.start, i}
+			}
+			rankUnits(keys, hottestFirst)
+			ref := slices.Clone(units)
+			if hottestFirst {
+				sortCandsReference(ref)
+			} else {
+				sortVictimsReference(ref)
+			}
+			for i, k := range keys {
+				if got := units[k.unit]; got.obj != ref[i].obj || got.start != ref[i].start {
+					t.Fatalf("seed %d hottestFirst=%v: position %d holds %+v, reference %+v",
+						seed, hottestFirst, i, got, ref[i])
+				}
+			}
+		}
 	}
 }

@@ -130,6 +130,23 @@ func validate(X [][]float64, y []float64) error {
 		if len(r) != d {
 			return fmt.Errorf("ml: row %d has %d features, want %d", i, len(r), d)
 		}
+		if err := checkFinite(i, r, y[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkFinite rejects a training row holding NaN or ±Inf: no model can
+// fit one, and each family would fail differently (or not at all).
+func checkFinite(row int, x []float64, y float64) error {
+	for j, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("ml: row %d feature %d is %v, want a finite value", row, j, v)
+		}
+	}
+	if math.IsNaN(y) || math.IsInf(y, 0) {
+		return fmt.Errorf("ml: row %d target is %v, want a finite value", row, y)
 	}
 	return nil
 }

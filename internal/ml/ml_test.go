@@ -1,9 +1,15 @@
 package ml
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"merchandiser/internal/merr"
 )
 
 // synth generates a nonlinear regression problem with d features, of which
@@ -138,6 +144,70 @@ func TestFitValidation(t *testing.T) {
 		}
 		if err := m.Fit([][]float64{{1, 2}, {1}}, []float64{1, 2}); err == nil {
 			t.Fatalf("%s accepted ragged rows", m.Name())
+		}
+	}
+}
+
+// Every model family rejects a training row holding NaN or +Inf with a
+// plain error naming the row and the column, before fitting anything —
+// including a paced fit, whose bad row sits in a group after its first
+// prefix. None of these rejections may classify as a bad artifact.
+func TestFitRejectsNonFiniteData(t *testing.T) {
+	const badRow, groupRows = 97, 40
+	fits := []struct {
+		name string
+		fit  func(X [][]float64, y []float64) error
+	}{
+		{"DTR", NewDecisionTree(TreeConfig{}).Fit},
+		{"GBR", NewGradientBoosted(GBRConfig{NumStages: 4}).Fit},
+		{"GBR/FitPaced", func(X [][]float64, y []float64) error {
+			// A producer pushes groups until one is refused and closes
+			// the feed with that error, as streamed training does.
+			feed := NewFeed()
+			var pushErr error
+			for lo := 0; lo < len(X) && pushErr == nil; lo += groupRows {
+				pushErr = feed.Push(X[lo:lo+groupRows], y[lo:lo+groupRows])
+			}
+			if pushErr == nil {
+				t.Error("the feed accepted a group holding a non-finite value")
+			}
+			feed.Close(pushErr)
+			g := NewGradientBoosted(GBRConfig{NumStages: 6})
+			err := g.FitPaced(context.Background(), feed, PaceConfig{Groups: len(X) / groupRows})
+			if err != nil && g.fitted {
+				t.Fatal("a failed paced fit left the model fitted")
+			}
+			return err
+		}},
+		{"RFR", NewRandomForest(ForestConfig{NumTrees: 2}).Fit},
+		{"KNR", NewKNN(KNNConfig{}).Fit},
+		{"SVR", NewSVR(SVRConfig{MaxIter: 10}).Fit},
+		{"ANN", NewMLP(MLPConfig{Epochs: 1}).Fit},
+	}
+	corruptions := []struct {
+		name, column string
+		apply        func(X [][]float64, y []float64)
+	}{
+		{"nan-target", "target", func(X [][]float64, y []float64) { y[badRow] = math.NaN() }},
+		{"inf-feature", "feature 1", func(X [][]float64, y []float64) { X[badRow][1] = math.Inf(1) }},
+	}
+	for _, c := range corruptions {
+		for _, f := range fits {
+			t.Run(c.name+"/"+f.name, func(t *testing.T) {
+				X, y := synth(3*groupRows, 3, 2, 0.05, 7)
+				c.apply(X, y)
+				err := f.fit(X, y)
+				if err == nil {
+					t.Fatal("fit accepted a non-finite value")
+				}
+				if errors.Is(err, merr.ErrBadArtifact) {
+					t.Fatalf("rejection classified as a bad artifact: %v", err)
+				}
+				want := fmt.Sprintf("row %d %s", badRow, c.column)
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not name %q", err, want)
+				}
+			})
 		}
 	}
 }

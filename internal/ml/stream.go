@@ -36,7 +36,10 @@ func NewFeed() *Feed {
 
 // Push appends one completed group (possibly empty — a region that
 // contributed no samples still counts toward the group sequence). All
-// rows across all groups must share one feature dimension.
+// rows across all groups must share one feature dimension, and every
+// value must be finite: a paced fit validates only its first prefix, so
+// the feed is where later groups are checked. Rows are numbered across
+// the whole feed.
 func (f *Feed) Push(X [][]float64, y []float64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -46,12 +49,15 @@ func (f *Feed) Push(X [][]float64, y []float64) error {
 	if len(X) != len(y) {
 		return fmt.Errorf("ml: group has %d rows but %d targets", len(X), len(y))
 	}
-	for _, r := range X {
+	for i, r := range X {
 		if f.dim == 0 {
 			f.dim = len(r)
 		}
 		if len(r) != f.dim || len(r) == 0 {
 			return fmt.Errorf("ml: row has %d features, want %d", len(r), f.dim)
+		}
+		if err := checkFinite(len(f.x)+i, r, y[i]); err != nil {
+			return err
 		}
 	}
 	f.x = append(f.x, X...)

@@ -49,7 +49,6 @@ type DecisionTree struct {
 	// walks it.
 	tab         nodeTable
 	importances []float64
-	rng         *rand.Rand
 	fitted      bool
 }
 
@@ -66,13 +65,15 @@ func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
 	if err := validate(X, y); err != nil {
 		return err
 	}
-	t.rng = rand.New(rand.NewSource(t.Config.Seed))
+	// The feature-subsampling RNG lives for this fit only: a fitted tree
+	// keeps no generator state.
+	rng := rand.New(rand.NewSource(t.Config.Seed))
 	t.importances = make([]float64, len(X[0]))
 	idx := make([]int, len(X))
 	for i := range idx {
 		idx[i] = i
 	}
-	t.root = t.build(X, y, idx, 0)
+	t.root = t.build(rng, X, y, idx, 0)
 	// Normalize importances to sum to 1.
 	var sum float64
 	for _, v := range t.importances {
@@ -135,7 +136,7 @@ func sums(y []float64, idx []int) (s, s2 float64) {
 	return s, s2
 }
 
-func (t *DecisionTree) build(X [][]float64, y []float64, idx []int, depth int) *treeNode {
+func (t *DecisionTree) build(rng *rand.Rand, X [][]float64, y []float64, idx []int, depth int) *treeNode {
 	s, s2 := sums(y, idx)
 	n := float64(len(idx))
 	mean := s / n
@@ -146,7 +147,7 @@ func (t *DecisionTree) build(X [][]float64, y []float64, idx []int, depth int) *
 	}
 
 	d := len(X[0])
-	features := t.candidateFeatures(d)
+	features := t.candidateFeatures(rng, d)
 
 	bestGain := 0.0
 	bestFeature := -1
@@ -210,12 +211,12 @@ func (t *DecisionTree) build(X [][]float64, y []float64, idx []int, depth int) *
 	return &treeNode{
 		feature:   bestFeature,
 		threshold: bestThreshold,
-		left:      t.build(X, y, leftIdx, depth+1),
-		right:     t.build(X, y, rightIdx, depth+1),
+		left:      t.build(rng, X, y, leftIdx, depth+1),
+		right:     t.build(rng, X, y, rightIdx, depth+1),
 	}
 }
 
-func (t *DecisionTree) candidateFeatures(d int) []int {
+func (t *DecisionTree) candidateFeatures(rng *rand.Rand, d int) []int {
 	if t.Config.MaxFeatures <= 0 || t.Config.MaxFeatures >= d {
 		all := make([]int, d)
 		for i := range all {
@@ -223,5 +224,5 @@ func (t *DecisionTree) candidateFeatures(d int) []int {
 		}
 		return all
 	}
-	return t.rng.Perm(d)[:t.Config.MaxFeatures]
+	return rng.Perm(d)[:t.Config.MaxFeatures]
 }

@@ -12,7 +12,7 @@ package sparse
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // CSR is a compressed-sparse-row matrix.
@@ -80,7 +80,14 @@ func (c RMATConfig) withDefaults() RMATConfig {
 
 // RMAT generates an RMAT matrix/graph in CSR form. Duplicate edges are
 // kept (weighted), self-loops allowed — matching common kron inputs.
-// Values are in (0, 1].
+// Values are in (0, 1]. A, B and C are quadrant probabilities: they must
+// be non-negative.
+//
+// Ordering: every edge draws its Scale quadrant bits first; the edges are
+// then counting-sorted by row into RowPtr's segments and each segment is
+// sorted by column, so each row lists its columns ascending, duplicates
+// adjacent. The values are drawn last, in that CSR order. The (row, col)
+// pairs carry nothing else, so any correct sort yields the same matrix.
 func RMAT(cfg RMATConfig) *CSR {
 	cfg = cfg.withDefaults()
 	n := 1 << cfg.Scale
@@ -90,45 +97,53 @@ func RMAT(cfg RMATConfig) *CSR {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
+	// One draw p per bit, most significant first, picks the quadrant:
+	// [0, a) top-left, [a, ab) top-right, [ab, abc) bottom-left, the rest
+	// bottom-right. With non-negative weights the thresholds are ordered,
+	// so the number q of them at or below p is the quadrant's index: its
+	// high bit is the row bit, its low bit the column bit.
+	a, ab := cfg.A, cfg.A+cfg.B
+	abc := ab + cfg.C
 	type edge struct{ r, c int32 }
 	edges := make([]edge, m)
-	for i := range edges {
-		var r, c int
-		for bit := cfg.Scale - 1; bit >= 0; bit-- {
-			p := rng.Float64()
-			switch {
-			case p < cfg.A:
-				// top-left: nothing set
-			case p < cfg.A+cfg.B:
-				c |= 1 << bit
-			case p < cfg.A+cfg.B+cfg.C:
-				r |= 1 << bit
-			default:
-				r |= 1 << bit
-				c |= 1 << bit
-			}
-		}
-		edges[i] = edge{int32(r), int32(c)}
-	}
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].r != edges[b].r {
-			return edges[a].r < edges[b].r
-		}
-		return edges[a].c < edges[b].c
-	})
-
 	out := &CSR{Rows: n, Cols: n, RowPtr: make([]int32, n+1)}
-	out.ColIdx = make([]int32, 0, m)
-	out.Val = make([]float64, 0, m)
-	for _, e := range edges {
-		out.RowPtr[e.r+1]++
-		out.ColIdx = append(out.ColIdx, e.c)
-		out.Val = append(out.Val, rng.Float64())
+	for i := range edges {
+		var r, c int32
+		for range cfg.Scale {
+			p := rng.Float64()
+			q := atOrBelow(a, p) + atOrBelow(ab, p) + atOrBelow(abc, p)
+			r = r<<1 | q>>1
+			c = c<<1 | q&1
+		}
+		edges[i] = edge{r, c}
+		out.RowPtr[r+1]++
 	}
 	for r := 0; r < n; r++ {
 		out.RowPtr[r+1] += out.RowPtr[r]
 	}
+	out.ColIdx = make([]int32, m)
+	next := append([]int32(nil), out.RowPtr[:n]...)
+	for _, e := range edges {
+		out.ColIdx[next[e.r]] = e.c
+		next[e.r]++
+	}
+	for r := 0; r < n; r++ {
+		slices.Sort(out.ColIdx[out.RowPtr[r]:out.RowPtr[r+1]])
+	}
+	out.Val = make([]float64, m)
+	for i := range out.Val {
+		out.Val[i] = rng.Float64()
+	}
 	return out
+}
+
+// atOrBelow is 1 when threshold t ≤ p, else 0; the compiler turns it
+// into a flag move, so a random p costs no mispredicted branch.
+func atOrBelow(t, p float64) int32 {
+	if p >= t {
+		return 1
+	}
+	return 0
 }
 
 // Transpose returns Aᵀ in CSR form (counting sort over columns).
@@ -185,6 +200,11 @@ func RowBins(m *CSR, bins int) [][2]int {
 // alike), preserving the graph up to isomorphism. Generated RMAT matrices
 // concentrate hubs at low vertex ids; real-world inputs (GAP-kron,
 // com-Orkut) arrive in arbitrary label order, which this restores.
+//
+// Ordering: old row r's entries move, columns relabeled, to new row
+// relabel[r]; two transposes (each a stable counting sort over columns)
+// then sort every row by column. Entries sharing a (row, col) keep their
+// input order.
 func Permute(m *CSR, seed int64) *CSR {
 	rng := rand.New(rand.NewSource(seed))
 	perm := rng.Perm(m.Rows)
@@ -192,34 +212,27 @@ func Permute(m *CSR, seed int64) *CSR {
 	for old, new := range perm {
 		relabel[old] = int32(new)
 	}
-	type edge struct {
-		r, c int32
-		v    float64
+	x := &CSR{
+		Rows: m.Rows, Cols: m.Cols,
+		RowPtr: make([]int32, m.Rows+1),
+		ColIdx: make([]int32, m.NNZ()),
+		Val:    make([]float64, m.NNZ()),
 	}
-	edges := make([]edge, 0, m.NNZ())
 	for r := 0; r < m.Rows; r++ {
+		x.RowPtr[relabel[r]+1] = m.RowPtr[r+1] - m.RowPtr[r]
+	}
+	for r := 0; r < x.Rows; r++ {
+		x.RowPtr[r+1] += x.RowPtr[r]
+	}
+	for r := 0; r < m.Rows; r++ {
+		dst := x.RowPtr[relabel[r]]
 		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
-			edges = append(edges, edge{relabel[r], relabel[m.ColIdx[p]], m.Val[p]})
+			x.ColIdx[dst] = relabel[m.ColIdx[p]]
+			x.Val[dst] = m.Val[p]
+			dst++
 		}
 	}
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].r != edges[b].r {
-			return edges[a].r < edges[b].r
-		}
-		return edges[a].c < edges[b].c
-	})
-	out := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int32, m.Rows+1)}
-	out.ColIdx = make([]int32, 0, len(edges))
-	out.Val = make([]float64, 0, len(edges))
-	for _, e := range edges {
-		out.RowPtr[e.r+1]++
-		out.ColIdx = append(out.ColIdx, e.c)
-		out.Val = append(out.Val, e.v)
-	}
-	for r := 0; r < m.Rows; r++ {
-		out.RowPtr[r+1] += out.RowPtr[r]
-	}
-	return out
+	return Transpose(Transpose(x))
 }
 
 // NNZBins partitions rows into bins with roughly equal *non-zero* counts

@@ -203,15 +203,6 @@ func main() {
 	}
 	if *savePath != "" {
 		fail(saveArtifacts(*savePath, art, cfg))
-		// A replan-study run embeds its drift-mode epoch reports into the
-		// checkpoint: the serving replica then answers /replanz with the
-		// provenance of the exact model it is running.
-		if want["replan"] {
-			recs, err := experiments.ReplanEpochRecords(ctx, art, cfg)
-			fail(err)
-			fail(embedEpochs(*savePath, recs))
-			fmt.Fprintf(w, "embedded %d epoch reports into the checkpoint\n", len(recs))
-		}
 		fmt.Fprintf(w, "checkpoint written to %s\n\n", *savePath)
 		if *publish != "" {
 			reg, err := registry.Open(*registryRoot)
@@ -359,19 +350,6 @@ func saveArtifacts(path string, art *experiments.Artifacts, cfg experiments.Conf
 		},
 	}
 	return sys.SaveFile(path)
-}
-
-// embedEpochs attaches epoch-lifecycle records to an already-written
-// artifact as its "epochs" section.
-func embedEpochs(path string, recs []store.EpochRecord) error {
-	a, err := store.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if err := a.SetEpochs(recs); err != nil {
-		return err
-	}
-	return store.WriteFile(path, a)
 }
 
 // parseTenants parses the -tenants spec ("name=pages,name=pages") into a

@@ -10,9 +10,8 @@
 //
 // Endpoints: /healthz (liveness), /readyz (503 until the artifact is
 // loaded and during drain; the JSON body names the serving model's
-// version and SHA-256), /metricsz (obs registry snapshot), /replanz
-// (the loaded model's epoch-lifecycle reports), /reloadz (POST;
-// hot-swap to the registry's promoted version) and /place (POST
+// version and SHA-256), /metricsz (obs registry snapshot), /reloadz
+// (POST; hot-swap to the registry's promoted version) and /place (POST
 // placement request). One planner goroutine answers queued requests one
 // at a time, each with its own MinMakespanPlan over the node's full
 // DRAM, so a plan depends only on (model, request). SIGTERM/SIGINT

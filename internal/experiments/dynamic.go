@@ -11,7 +11,6 @@ import (
 	"merchandiser/internal/core"
 	"merchandiser/internal/hm"
 	"merchandiser/internal/policyreg"
-	"merchandiser/internal/store"
 	"merchandiser/internal/task"
 )
 
@@ -71,24 +70,23 @@ func replanModes(cfg Config) []core.ReplanConfig {
 }
 
 // replanCell runs PhaseShift under Merchandiser with one re-plan
-// configuration, returning the summary row and the raw epoch reports.
-// Each cell builds its own app instance (apps carry per-run object
-// state) with the same seed, so cells are comparable and safe to run
-// concurrently.
-func replanCell(ctx context.Context, art *Artifacts, cfg Config, rc core.ReplanConfig) (*ReplanRow, []core.EpochReport, error) {
+// configuration and returns its summary row. Each cell builds its own
+// app instance (apps carry per-run object state) with the same seed, so
+// cells are comparable and safe to run concurrently.
+func replanCell(ctx context.Context, art *Artifacts, cfg Config, rc core.ReplanConfig) (*ReplanRow, error) {
 	app, err := phaseShiftApp(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	pol, err := policyreg.Build("Merchandiser", policyreg.Params{
 		Spec: art.Spec, Perf: art.Perf, Seed: cfg.Seed, Replan: rc,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res, err := task.Run(ctx, app, art.Spec, pol, task.Options{StepSec: cfg.step(), IntervalSec: 0.05})
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: PhaseShift replan=%s: %w", rc.Mode, err)
+		return nil, fmt.Errorf("experiments: PhaseShift replan=%s: %w", rc.Mode, err)
 	}
 	row := &ReplanRow{Mode: rc.Mode.String(), TotalTime: res.TotalTime}
 	shift := 2 // PhaseShiftConfig default ShiftInstance at both scales
@@ -97,9 +95,7 @@ func replanCell(ctx context.Context, art *Artifacts, cfg Config, rc core.ReplanC
 			row.PostShift += inst.Makespan
 		}
 	}
-	var reports []core.EpochReport
 	if m, ok := pol.(*core.Merchandiser); ok {
-		reports = m.EpochReports
 		row.Replans = m.Replans
 		row.Epochs = len(m.EpochReports)
 		for _, er := range m.EpochReports {
@@ -111,33 +107,7 @@ func replanCell(ctx context.Context, art *Artifacts, cfg Config, rc core.ReplanC
 			}
 		}
 	}
-	return row, reports, nil
-}
-
-// ReplanEpochRecords runs PhaseShift once under the drift-triggered
-// re-planner and returns its epoch-lifecycle reports in artifact form —
-// the section merchbench embeds into a saved artifact so a serving
-// replica can answer "why did placement change" at /replanz with the
-// provenance of the model it is actually running.
-func ReplanEpochRecords(ctx context.Context, art *Artifacts, cfg Config) ([]store.EpochRecord, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rc := cfg.Replan
-	rc.Mode = core.ReplanDrift
-	_, reports, err := replanCell(ctx, art, cfg, rc)
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]store.EpochRecord, len(reports))
-	for i, r := range reports {
-		recs[i] = store.EpochRecord{
-			Instance: r.Instance, Epoch: r.Epoch, Time: r.Time,
-			Drift: r.Drift, Projected: r.Projected, Replanned: r.Replanned,
-			Residual: r.Residual, MigrationCost: r.MigrationCost, MovedPages: r.MovedPages,
-		}
-	}
-	return recs, nil
+	return row, nil
 }
 
 // ReplanStudy runs the PhaseShift workload under Merchandiser with
@@ -164,7 +134,7 @@ func ReplanStudy(ctx context.Context, w io.Writer, art *Artifacts, cfg Config) (
 			case <-ctx.Done():
 				return
 			}
-			rows[i], _, errs[i] = replanCell(ctx, art, cfg, rc)
+			rows[i], errs[i] = replanCell(ctx, art, cfg, rc)
 		}(i, rc)
 	}
 	wg.Wait()

@@ -11,7 +11,6 @@ import (
 	"merchandiser/internal/apps"
 	"merchandiser/internal/model"
 	"merchandiser/internal/obs"
-	"merchandiser/internal/store"
 )
 
 // dynArt is the dynamic-cell test fixture: the experiment spec with an
@@ -128,38 +127,5 @@ func TestMultiTenantZeroQuotaRuns(t *testing.T) {
 		if row.Tenant == "bfs" && row.MaxUsedPages != 0 {
 			t.Fatalf("zero-quota tenant held %d DRAM pages", row.MaxUsedPages)
 		}
-	}
-}
-
-// TestReplanEpochRecords checks the artifact-embeddable form of the
-// drift-mode epoch reports: records present, finite, valid for the
-// store's epochs section, and consistent with the study's drift row.
-func TestReplanEpochRecords(t *testing.T) {
-	recs, err := ReplanEpochRecords(context.Background(), dynArt(), dynCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) == 0 {
-		t.Fatal("drift mode produced no epoch records")
-	}
-	replanned := 0
-	for _, r := range recs {
-		if r.Instance < 0 || r.Epoch < 0 {
-			t.Fatalf("bad record: %+v", r)
-		}
-		if r.Replanned {
-			replanned++
-		}
-	}
-	if replanned == 0 {
-		t.Fatal("no record shows an applied re-plan")
-	}
-	a := &store.Artifact{Tool: "test"}
-	if err := a.SetEpochs(recs); err != nil {
-		t.Fatalf("records rejected by the epochs section: %v", err)
-	}
-	back, err := a.Epochs()
-	if err != nil || len(back) != len(recs) {
-		t.Fatalf("round trip: %d records, %v", len(back), err)
 	}
 }

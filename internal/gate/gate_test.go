@@ -100,6 +100,28 @@ func waitReady(t *testing.T, g *Gate) {
 	}
 }
 
+// waitAdmitted blocks until every backend is admitted. Ready needs only
+// one, so a test that pins where a key lands, or needs every replica to
+// see traffic, waits here: a replica admitted mid-test would take over
+// some keys.
+func waitAdmitted(t *testing.T, g *Gate) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		admitted := true
+		for _, st := range g.Fleet() {
+			admitted = admitted && st.Healthy
+		}
+		if admitted {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet never fully admitted: %+v", g.Fleet())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func placeBody() string {
 	return `{"tasks":[{"name":"t0","t_pm_only":2,"t_dram_only":0.8,"total_accesses":4e6,"footprint_pages":300}]}`
 }
@@ -132,7 +154,7 @@ func TestGateRoutesConsistentlyByKey(t *testing.T) {
 	a := newFakeReplica(t, "v1")
 	b := newFakeReplica(t, "v1")
 	g := testGate(t, Config{Backends: []string{a.srv.URL, b.srv.URL}})
-	waitReady(t, g)
+	waitAdmitted(t, g)
 	front := httptest.NewServer(g.Handler())
 	defer front.Close()
 
@@ -281,7 +303,7 @@ func TestGateRouteKeyFallsBackToTaskName(t *testing.T) {
 	a := newFakeReplica(t, "v1")
 	b := newFakeReplica(t, "v1")
 	g := testGate(t, Config{Backends: []string{a.srv.URL, b.srv.URL}})
-	waitReady(t, g)
+	waitAdmitted(t, g)
 	front := httptest.NewServer(g.Handler())
 	defer front.Close()
 

@@ -22,7 +22,6 @@ package profiler
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"merchandiser/internal/hm"
 )
@@ -62,8 +61,8 @@ func NewAccessBitSampler(events int, seed int64) *AccessBitSampler {
 
 // SampleTier profiles all pages currently on tier and returns per-page
 // hotness estimates for the pages that received at least one observation,
-// sorted hottest first. The estimate is the observation count scaled back
-// to an access count, so it is unbiased but noisy, and the number of
+// in object and page order. The estimate is the observation count scaled
+// back to an access count, so it is unbiased but noisy, and the number of
 // observations a task's pages receive is proportional to the task's share
 // of tier traffic — the load-imbalance mechanism of Section 1.
 func (s *AccessBitSampler) SampleTier(mem *hm.Memory, tier hm.TierID) []PageEstimate {
@@ -99,7 +98,6 @@ func (s *AccessBitSampler) SampleTier(mem *hm.Memory, tier hm.TierID) []PageEsti
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Accesses > out[j].Accesses })
 	return out
 }
 
@@ -145,8 +143,7 @@ func NewThermostat(regionPages int, seed int64) *Thermostat {
 }
 
 // EstimateTier profiles tier (DRAM in the paper) and returns a hotness
-// estimate for every resident page, coldest first — the ordering eviction
-// wants.
+// estimate for every resident page, in object and page order.
 func (t *Thermostat) EstimateTier(mem *hm.Memory, tier hm.TierID) []PageEstimate {
 	var out []PageEstimate
 	for _, o := range mem.Objects() {
@@ -176,14 +173,5 @@ func (t *Thermostat) EstimateTier(mem *hm.Memory, tier hm.TierID) []PageEstimate
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Accesses < out[j].Accesses })
 	return out
-}
-
-// ColdPages returns the n coldest estimates from a coldest-first list.
-func ColdPages(est []PageEstimate, n int) []PageEstimate {
-	if n > len(est) {
-		n = len(est)
-	}
-	return est[:n]
 }

@@ -14,7 +14,7 @@
 //
 // Every pointer write goes through store.AtomicWriteFile (write, fsync,
 // rename, fsync directory entry), so a crash never leaves a torn or
-// unsynced promotion. Publishing verifies the artifact decodes and
+// unsynced promotion. Publishing verifies the artifact restores and
 // records its digest; resolving re-verifies the digest, so bit rot or a
 // tampered artifact fails loudly as merr.ErrBadArtifact instead of
 // being served.
@@ -22,6 +22,7 @@ package registry
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -29,6 +30,7 @@ import (
 	"strings"
 	"sync"
 
+	"merchandiser"
 	"merchandiser/internal/merr"
 	"merchandiser/internal/store"
 )
@@ -103,8 +105,8 @@ func (r *Registry) ArtifactPath(v string) string {
 }
 
 // Publish copies the artifact at src into the registry as version, after
-// verifying it decodes as a well-formed artifact, and records its
-// SHA-256. Versions are immutable: publishing an existing version fails.
+// verifying it restores as a System, and records its SHA-256. Versions
+// are immutable: publishing an existing version fails.
 func (r *Registry) Publish(version, src string) (Entry, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -119,9 +121,11 @@ func (r *Registry) Publish(version, src string) (Entry, error) {
 	if err != nil {
 		return Entry{}, fmt.Errorf("registry: publish %s: %w", version, err)
 	}
-	// Integrity gate: the registry never stores bytes that do not decode
-	// as an artifact (strict: magic, manifest, per-section checksums).
-	if _, err := store.Decode(bytes.NewReader(data)); err != nil {
+	// Integrity gate: the registry stores only bytes a replica can
+	// restore (strict container decode, then the system and its model),
+	// so Promote can never point the fleet at an artifact every replica
+	// would refuse.
+	if _, err := merchandiser.Restore(context.TODO(), bytes.NewReader(data)); err != nil {
 		return Entry{}, fmt.Errorf("registry: publish %s: %w", version, err)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -9,20 +9,23 @@ import (
 	"sync"
 	"testing"
 
+	"merchandiser"
 	"merchandiser/internal/merr"
 	"merchandiser/internal/store"
 )
 
-// writeArtifact writes a minimal valid artifact to dir and returns its
-// path. seq varies the payload so distinct calls produce distinct SHAs.
+// writeArtifact writes a restorable untrained system snapshot to dir and
+// returns its path. seq rides in the training metadata so distinct calls
+// produce distinct SHAs.
 func writeArtifact(t *testing.T, dir string, seq int) string {
 	t.Helper()
-	a := &store.Artifact{Tool: "registry-test"}
-	if err := a.SetJSON("meta.seq", map[string]int{"seq": seq}); err != nil {
+	sys, err := merchandiser.NewSystem(merchandiser.DefaultSpec(), merchandiser.TrainNone)
+	if err != nil {
 		t.Fatal(err)
 	}
+	sys.Meta.Seed = int64(seq)
 	path := filepath.Join(dir, fmt.Sprintf("src-%d.merch", seq))
-	if err := store.WriteFile(path, a); err != nil {
+	if err := sys.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -144,6 +147,55 @@ func TestPublishRejectsBadInput(t *testing.T) {
 	// Promoting an unpublished version fails.
 	if err := r.Promote("ghost"); err == nil {
 		t.Fatal("promoted an unpublished version")
+	}
+}
+
+// TestPublishRejectsUnrestorableArtifact: an artifact that decodes but
+// whose model does not fit the event list stored beside it would make
+// every replica refuse the reload, so Publish refuses it and leaves no
+// version directory behind.
+func TestPublishRejectsUnrestorableArtifact(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(filepath.Join(dir, "reg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := merchandiser.NewSystem(merchandiser.DefaultSpec(), merchandiser.TrainQuick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := filepath.Join(dir, "good.merch")
+	if err := sys.SaveFile(good); err != nil {
+		t.Fatal(err)
+	}
+	a, err := store.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := a.System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drop the last event: the model's r_dram splits now index past the
+	// feature vector. The system section is still valid on its own, so
+	// only a restore can tell.
+	st.Events = st.Events[:len(st.Events)-1]
+	if err := a.SetSystem(st); err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "short-events.merch")
+	if err := store.WriteFile(bad, a); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := r.Publish("vbad", bad); !errors.Is(err, merr.ErrBadArtifact) {
+		t.Fatalf("Publish(short events): %v, want ErrBadArtifact", err)
+	}
+	if _, err := os.Stat(r.versionDir("vbad")); !os.IsNotExist(err) {
+		t.Fatal("rejected publish left a version directory behind")
+	}
+	if _, err := r.Publish("vgood", good); err != nil {
+		t.Fatalf("Publish(intact): %v", err)
 	}
 }
 

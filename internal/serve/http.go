@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"merchandiser/internal/merr"
-	"merchandiser/internal/store"
 )
 
 // maxBodyBytes bounds a /place request body.
@@ -38,15 +37,6 @@ type ReloadResponse struct {
 	SHA256   string `json:"sha256,omitempty"`
 }
 
-// ReplanResponse is the /replanz body: the serving model's identity and
-// the epoch-lifecycle reports that traveled with it — the live answer to
-// "why did placement change".
-type ReplanResponse struct {
-	Version string              `json:"version,omitempty"`
-	SHA256  string              `json:"sha256,omitempty"`
-	Epochs  []store.EpochRecord `json:"epochs"`
-}
-
 // Handler exposes the service over HTTP:
 //
 //	GET  /healthz  — liveness: 200 while the process runs
@@ -54,7 +44,6 @@ type ReplanResponse struct {
 //	                 before load and during drain); the JSON body names
 //	                 the serving model's version and artifact SHA-256
 //	GET  /metricsz — the obs registry's deterministic JSON snapshot
-//	GET  /replanz  — the loaded model's epoch-lifecycle reports
 //	POST /reloadz  — re-resolve the reload source and hot-swap the model
 //	POST /place    — one PlacementRequest in, one PlacementResponse out
 func (s *Service) Handler(cfg HTTPConfig) http.Handler {
@@ -92,15 +81,6 @@ func (s *Service) Handler(cfg HTTPConfig) http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(ReloadResponse{Reloaded: reloaded, Version: info.Version, SHA256: info.SHA256})
-	})
-	mux.HandleFunc("/replanz", func(w http.ResponseWriter, r *http.Request) {
-		info := s.Info()
-		out := ReplanResponse{Version: info.Version, SHA256: info.SHA256, Epochs: s.Epochs()}
-		if out.Epochs == nil {
-			out.Epochs = []store.EpochRecord{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(out)
 	})
 	mux.HandleFunc("/metricsz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

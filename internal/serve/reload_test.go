@@ -437,18 +437,17 @@ func TestHTTPReloadAndReplanEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// v1 carries epoch provenance: attach an epochs section by rewriting
-	// the artifact the way merchbench -exp replan -save does.
+	// v1 carries a retired epochs section, in the shape older
+	// `merchbench -exp replan -save` runs wrote it. No reader knows the
+	// section, so the artifact must still publish, reload and serve.
 	src := saveVersionedArtifact(t, dir, 1)
 	a, err := store.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := []store.EpochRecord{
-		{Instance: 2, Epoch: 1, Time: 0.5, Drift: 0.4, Projected: 1.4, Replanned: true, Residual: 0.7, MigrationCost: 0.01, MovedPages: 128},
-		{Instance: 2, Epoch: 2, Time: 1.0, Drift: 0.05, Projected: 1.1},
-	}
-	if err := a.SetEpochs(eps); err != nil {
+	epochs := json.RawMessage(`[{"instance":2,"epoch":1,"time":0.5,"drift":0.4,"projected":1.4,"replanned":true,"residual":0.7,"migration_cost":0.01,"moved_pages":128},` +
+		`{"instance":2,"epoch":2,"time":1,"drift":0.05,"projected":1.1,"replanned":false,"residual":0,"migration_cost":0,"moved_pages":0}]`)
+	if err := a.SetJSON("epochs", epochs); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.WriteFile(src, a); err != nil {
@@ -516,21 +515,32 @@ func TestHTTPReloadAndReplanEndpoints(t *testing.T) {
 		t.Fatalf("readyz after load: %d %+v", resp.StatusCode, ready)
 	}
 
-	// /replanz serves the epoch provenance that traveled in the artifact.
+	// The artifact serves placements stamped with its version.
+	raw, err := json.Marshal(testRequest("x", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(srv.URL+"/place", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out PlacementResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 || out.ModelVersion != "v1" || out.ModelSHA256 != rel.SHA256 {
+		t.Fatalf("place: %d %+v", resp.StatusCode, out)
+	}
+
+	// The daemon never re-plans, so it has no /replanz endpoint.
 	resp, err = http.Get(srv.URL + "/replanz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rp ReplanResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rp); err != nil {
-		t.Fatal(err)
-	}
 	resp.Body.Close()
-	if resp.StatusCode != 200 || rp.Version != "v1" || len(rp.Epochs) != 2 {
-		t.Fatalf("replanz: %d %+v", resp.StatusCode, rp)
-	}
-	if rp.Epochs[0].Drift != 0.4 || !rp.Epochs[0].Replanned || rp.Epochs[1].Epoch != 2 {
-		t.Fatalf("replanz epochs mangled: %+v", rp.Epochs)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /replanz: %d, want 404", resp.StatusCode)
 	}
 
 	// A second POST /reloadz with unchanged bytes reports reloaded:false.

@@ -223,14 +223,12 @@ type result struct {
 	err error
 }
 
-// loadedModel bundles everything one artifact load installs: the system,
-// its identity, and its optional epoch provenance. The bundle swaps as a
-// single pointer, so a plan can never pair one model's answer with
-// another model's version stamp.
+// loadedModel bundles everything one artifact load installs: the system
+// and its identity. The bundle swaps as a single pointer, so a plan can
+// never pair one model's answer with another model's version stamp.
 type loadedModel struct {
-	sys    *merchandiser.System
-	info   ModelInfo
-	epochs []store.EpochRecord
+	sys  *merchandiser.System
+	info ModelInfo
 }
 
 // Service is the placement daemon core: an optional loaded system, a
@@ -302,7 +300,11 @@ func (s *Service) install(lm *loadedModel) {
 // serve.restore_seconds wall timer on the service's registry — the
 // daemon's cold-start cost, visible in /metricsz.
 func (s *Service) LoadArtifactAs(ctx context.Context, path, version string) (*merchandiser.System, error) {
-	lm, err := s.restoreBundle(ctx, path, version)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, merr.Wrap(merr.ErrBadArtifact, "serve: read artifact", err)
+	}
+	lm, err := s.restoreBundle(ctx, data, sha256.Sum256(data), version)
 	if err != nil {
 		return nil, err
 	}
@@ -310,16 +312,11 @@ func (s *Service) LoadArtifactAs(ctx context.Context, path, version string) (*me
 	return lm.sys, nil
 }
 
-// restoreBundle reads the artifact once, hashes it, restores the system
-// from the in-memory bytes, and lifts the optional epochs section. It
-// runs entirely off the serving path: the current model keeps answering
-// while a reload restores.
-func (s *Service) restoreBundle(ctx context.Context, path, version string) (*loadedModel, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, merr.Wrap(merr.ErrBadArtifact, "serve: read artifact", err)
-	}
-	sum := sha256.Sum256(data)
+// restoreBundle restores the system from artifact bytes its caller has
+// already read and hashed (sum is their SHA-256). It runs entirely off
+// the serving path: the current model keeps answering while a reload
+// restores.
+func (s *Service) restoreBundle(ctx context.Context, data []byte, sum [sha256.Size]byte, version string) (*loadedModel, error) {
 	if version == "" {
 		version = "unversioned"
 	}
@@ -329,21 +326,7 @@ func (s *Service) restoreBundle(ctx context.Context, path, version string) (*loa
 	if err != nil {
 		return nil, err
 	}
-	// Epoch provenance rides in an optional section; the container was
-	// already validated by Restore, so only the section decode can fail.
-	a, err := store.Decode(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	epochs, err := a.Epochs()
-	if err != nil {
-		return nil, err
-	}
-	return &loadedModel{
-		sys:    sys,
-		info:   ModelInfo{Version: version, SHA256: hex.EncodeToString(sum[:])},
-		epochs: epochs,
-	}, nil
+	return &loadedModel{sys: sys, info: ModelInfo{Version: version, SHA256: hex.EncodeToString(sum[:])}}, nil
 }
 
 // Reload re-resolves Config.Source and, if it names bytes different from
@@ -372,7 +355,7 @@ func (s *Service) Reload(ctx context.Context) (ModelInfo, bool, error) {
 		s.cfg.Obs.Counter("serve.reload_noops").Inc()
 		return cur, false, nil
 	}
-	lm, err := s.restoreBundle(ctx, path, version)
+	lm, err := s.restoreBundle(ctx, data, sum, version)
 	if err != nil {
 		s.cfg.Obs.Counter("serve.reload_errors").Inc()
 		return s.Info(), false, err
@@ -391,17 +374,6 @@ func (s *Service) Info() ModelInfo {
 		return ModelInfo{}
 	}
 	return s.cur.info
-}
-
-// Epochs returns the loaded model's epoch-lifecycle provenance (nil when
-// the artifact carried none) — what GET /replanz serves.
-func (s *Service) Epochs() []store.EpochRecord {
-	s.sysMu.RLock()
-	defer s.sysMu.RUnlock()
-	if s.cur == nil {
-		return nil
-	}
-	return s.cur.epochs
 }
 
 // Ready reports whether the service can answer placement requests: an

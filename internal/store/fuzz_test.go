@@ -78,11 +78,6 @@ func FuzzRestoreArtifact(f *testing.F) {
 				t.Fatalf("flat model load failure %v is not classified", err)
 			}
 		}
-		if a.Has(SectionAlpha) {
-			if _, err := a.Alpha(); err != nil && !errors.Is(err, merr.ErrBadArtifact) {
-				t.Fatalf("alpha section failure %v is not classified", err)
-			}
-		}
 		if a.Has(SectionPlan) {
 			if _, err := a.Plan(); err != nil && !errors.Is(err, merr.ErrBadArtifact) {
 				t.Fatalf("plan section failure %v is not classified", err)

@@ -19,11 +19,14 @@ const goldenPath = "testdata/golden.artifact"
 // system checkpoint with its model in the binary slot sections, plus
 // alpha and plan sections — must decode, validate, and re-encode to its
 // exact committed bytes; and regenerating it from source must reproduce
-// those bytes. Any accidental change to the container layout, the slot
-// layout, the canonical JSON, or a section schema flips one of these
-// comparisons — bump Version (container and JSON sections) or
-// SlotVersion (slot layout and node-section metadata) and regenerate
-// with -update only for deliberate format changes.
+// those bytes. No reader knows the alpha section: it pins one property,
+// that a section no reader knows still decodes and re-encodes
+// byte-identically, so artifacts carrying retired sections keep
+// restoring without a Version bump. Any accidental change to the
+// container layout, the slot layout, the canonical JSON, or a section
+// schema flips one of these comparisons — bump Version (container and
+// JSON sections) or SlotVersion (slot layout and node-section metadata)
+// and regenerate with -update only for deliberate format changes.
 func TestGoldenArtifact(t *testing.T) {
 	fresh := encode(t, testArtifact(t))
 
@@ -51,9 +54,6 @@ func TestGoldenArtifact(t *testing.T) {
 	}
 	if _, err := a.System(); err != nil {
 		t.Fatalf("golden system section no longer validates: %v", err)
-	}
-	if _, err := a.Alpha(); err != nil {
-		t.Fatalf("golden alpha section no longer validates: %v", err)
 	}
 	if _, err := a.Plan(); err != nil {
 		t.Fatalf("golden plan section no longer validates: %v", err)

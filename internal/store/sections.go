@@ -15,16 +15,9 @@ const (
 	// travels in the binary model sections (SectionModelNodes,
 	// SectionModelTrees).
 	SectionSystem = "system"
-	// SectionAlpha holds an AlphaTable: per-object α values (Equation 1).
-	SectionAlpha = "alpha"
 	// SectionPlan holds a PlanRecord: one Algorithm 1 / MinMakespanPlan
 	// output.
 	SectionPlan = "plan"
-	// SectionEpochs holds []EpochRecord: the epoch-lifecycle boundaries
-	// observed for the model during its training-time re-planning study.
-	// They travel with the checkpoint so a serving daemon can answer
-	// "why did placement change" (GET /replanz) for the model it serves.
-	SectionEpochs = "epochs"
 )
 
 // FeatureStats summarizes the training matrix the correlation function
@@ -182,96 +175,6 @@ func (a *Artifact) System() (*SystemState, error) {
 		return nil, err
 	}
 	return st, nil
-}
-
-// AlphaTable maps data-object names to their α (the per-pattern
-// cache-miss scaling factor of Equation 1). JSON encoding sorts the
-// keys, so the section is deterministic.
-type AlphaTable map[string]float64
-
-func (t AlphaTable) validate() error {
-	for name, v := range t {
-		if name == "" {
-			return badf("alpha table has an unnamed object")
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return badf("alpha for %q is %v, want finite non-negative", name, v)
-		}
-	}
-	return nil
-}
-
-// SetAlpha validates t and stores it as the alpha section.
-func (a *Artifact) SetAlpha(t AlphaTable) error {
-	if err := t.validate(); err != nil {
-		return err
-	}
-	return a.SetJSON(SectionAlpha, t)
-}
-
-// Alpha decodes and validates the alpha section.
-func (a *Artifact) Alpha() (AlphaTable, error) {
-	var t AlphaTable
-	if err := a.GetJSON(SectionAlpha, &t); err != nil {
-		return nil, err
-	}
-	if err := t.validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// EpochRecord is the persistable form of one core.EpochReport: an epoch
-// boundary's drift observation and re-plan decision. A slice of them is
-// the epochs section.
-type EpochRecord struct {
-	Instance      int     `json:"instance"`
-	Epoch         int     `json:"epoch"`
-	Time          float64 `json:"time"`
-	Drift         float64 `json:"drift"`
-	Projected     float64 `json:"projected"`
-	Replanned     bool    `json:"replanned"`
-	Residual      float64 `json:"residual"`
-	MigrationCost float64 `json:"migration_cost"`
-	MovedPages    uint64  `json:"moved_pages"`
-}
-
-func validEpochs(eps []EpochRecord) error {
-	for i, e := range eps {
-		if e.Instance < 0 || e.Epoch < 0 {
-			return badf("epoch record %d has negative instance or epoch", i)
-		}
-		for _, v := range []float64{e.Time, e.Drift, e.Projected, e.Residual, e.MigrationCost} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return badf("epoch record %d has a non-finite value", i)
-			}
-		}
-	}
-	return nil
-}
-
-// SetEpochs validates eps and stores them as the epochs section.
-func (a *Artifact) SetEpochs(eps []EpochRecord) error {
-	if err := validEpochs(eps); err != nil {
-		return err
-	}
-	return a.SetJSON(SectionEpochs, eps)
-}
-
-// Epochs decodes and validates the epochs section; a missing section
-// yields (nil, nil) — epoch provenance is optional.
-func (a *Artifact) Epochs() ([]EpochRecord, error) {
-	if !a.Has(SectionEpochs) {
-		return nil, nil
-	}
-	var eps []EpochRecord
-	if err := a.GetJSON(SectionEpochs, &eps); err != nil {
-		return nil, err
-	}
-	if err := validEpochs(eps); err != nil {
-		return nil, err
-	}
-	return eps, nil
 }
 
 // PlanRecord is a persistable Algorithm 1 / MinMakespanPlan output with

@@ -1,10 +1,11 @@
 // Package store is the versioned artifact store for everything the
 // Merchandiser pipeline trains offline: the correlation-function
-// ensemble, per-object α tables, corpus feature statistics and placement
-// plans. An artifact is a named set of sections behind a manifest
-// carrying the schema version, creation metadata and a SHA-256 digest
-// per section, so a checkpoint written on one machine restores bit-exact
-// on another — or fails loudly as merr.ErrBadArtifact.
+// ensemble with the platform spec it was trained for, corpus feature
+// statistics and placement plans. An artifact is a named set of
+// sections behind a manifest carrying the schema version, creation
+// metadata and a SHA-256 digest per section, so a checkpoint written on
+// one machine restores bit-exact on another — or fails loudly as
+// merr.ErrBadArtifact.
 //
 // The container format is deliberately simple and deterministic:
 //

@@ -203,15 +203,6 @@ func runLeg(daemon, gateBin string, cacheEntries int) {
 		cacheLegChecks(gateURL, shaV2)
 	}
 
-	// /replanz answers on every replica (empty epochs for this artifact).
-	for _, a := range replicaAddrs {
-		var rp serve.ReplanResponse
-		getJSON(a+"/replanz", &rp)
-		if rp.Version != "v2" || rp.Epochs == nil {
-			fatalf("replica %s /replanz: %+v", a, rp)
-		}
-	}
-
 	// Drain the fleet.
 	for _, p := range procs {
 		check(p.Process.Signal(syscall.SIGTERM), "SIGTERM")

@@ -82,15 +82,16 @@ func main() {
 		if err != nil {
 			log.Fatalf("merchserved: %v", err)
 		}
-		// The reload source: whatever the registry promotes. Resolution
-		// re-verifies the artifact's recorded SHA-256, so bit rot is caught
-		// before a restore is attempted.
-		cfg.Source = func(ctx context.Context) (string, string, error) {
-			ent, err := modelReg.Current()
+		// The reload source: whatever the registry promotes, with the
+		// SHA-256 recorded at publish. The service checks the bytes it
+		// reads against it, so bit rot is caught before a restore is
+		// attempted, at cold start and on every reload.
+		cfg.Source = func(ctx context.Context) (serve.ArtifactRef, error) {
+			ent, err := modelReg.Resolve()
 			if err != nil {
-				return "", "", err
+				return serve.ArtifactRef{}, err
 			}
-			return ent.Path, ent.Version, nil
+			return serve.ArtifactRef{Path: ent.Path, Version: ent.Version, SHA256: ent.SHA256}, nil
 		}
 	}
 	if *planlog != "" {
@@ -101,21 +102,21 @@ func main() {
 	}
 	svc := serve.New(cfg)
 
-	// LoadArtifactAs times the restore into serve.restore_seconds, so
+	// LoadArtifact times the restore into serve.restore_seconds, so
 	// /metricsz exposes the daemon's cold-start cost (binary-format
 	// artifacts make it near-constant in model size).
 	start := time.Now()
 	var sys *merchandiser.System
 	var err error
 	if modelReg != nil {
-		ent, rerr := modelReg.Current()
+		ref, rerr := cfg.Source(context.Background())
 		if rerr != nil {
 			log.Fatalf("merchserved: %v (publish and promote a version with merchbench -publish -promote)", rerr)
 		}
-		sys, err = svc.LoadArtifactAs(context.Background(), ent.Path, ent.Version)
+		sys, err = svc.LoadArtifact(context.Background(), ref)
 		if err == nil {
 			log.Printf("registry %s version %s loaded in %s: level=%s samples=%d heldout-R²=%.3f",
-				*registryRoot, ent.Version, time.Since(start).Round(time.Microsecond), sys.Meta.Level, sys.Meta.Samples, sys.TrainedR2)
+				*registryRoot, ref.Version, time.Since(start).Round(time.Microsecond), sys.Meta.Level, sys.Meta.Samples, sys.TrainedR2)
 		}
 	} else {
 		sys, err = svc.LoadArtifactAs(context.Background(), *artifact, filepath.Base(*artifact))

@@ -61,45 +61,48 @@ type BFSApp struct {
 
 // NewBFS builds the application: generates the graph, runs every
 // instance's real traversal, and keeps the per-partition counts.
+//
+// The graph is drawn without values (BFS is unweighted; RMAT draws them
+// after every edge, so the graph is the same). Each traversal keeps only
+// a visited bitmap, and the per-partition counts are computed once per
+// distinct reached set: they are integer sums over the reached vertices'
+// out-edges, which no traversal order changes, so an instance reaching
+// the set the previous one reached shares its counts.
 func NewBFS(cfg BFSConfig) (*BFSApp, error) {
 	cfg = cfg.withDefaults()
 	// No vertex relabeling: contiguous-range partitioning of a graph
 	// whose hubs cluster at low ids is exactly the uneven partitioning of
 	// §7.2.
-	g := sparse.RMAT(sparse.RMATConfig{Scale: cfg.Scale, EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed})
-	g.Val = nil // BFS is unweighted
+	g := sparse.RMAT(sparse.RMATConfig{Scale: cfg.Scale, EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed, Unweighted: true})
 	// Partial balance (edges + vertices mixed): the hub partitions stay
 	// heavier — §7.2's uneven-partitioning imbalance — without the
 	// pathological skew of pure row partitioning.
 	parts := sparse.WeightedBins(g, cfg.Tasks, 2*float64(cfg.EdgeFactor))
 	app := &BFSApp{cfg: cfg, graph: g, parts: parts}
 	// Directed power-law graphs are full of sink vertices; like Graph500,
-	// only sources that actually reach the giant component are used.
+	// only sources that actually reach the giant component are used: a
+	// traversal counts when it relaxes at least a tenth of the edges.
 	var total int64
 	for _, e := range sparse.BinNNZ(g, app.parts) {
 		total += int64(e)
 	}
+	tr := sparse.NewTraverser(g, parts)
 	src := 0
 	for i := 0; i < cfg.Instances; i++ {
-		var res *sparse.BFSResult
 		for {
-			var err error
-			res, err = sparse.BFS(g, src%g.Rows, app.parts)
+			levels, traversed, err := tr.BFS(src % g.Rows)
 			if err != nil {
 				return nil, err
 			}
-			var traversed int64
-			for _, e := range res.EdgesByPartition {
-				traversed += e
-			}
 			src++
 			if traversed*10 >= total {
+				app.levels = append(app.levels, levels)
 				break
 			}
 		}
-		app.levels = append(app.levels, res.Levels)
-		app.edges = append(app.edges, res.EdgesByPartition)
-		app.matrix = append(app.matrix, res.EdgeMatrix)
+		edges, matrix := tr.Counts()
+		app.edges = append(app.edges, edges)
+		app.matrix = append(app.matrix, matrix)
 	}
 	return app, nil
 }

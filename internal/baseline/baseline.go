@@ -158,26 +158,30 @@ type rankKey struct {
 	unit      int
 }
 
-// rankUnits sorts keys by density, hottest first when hottestFirst is set
-// and coldest first otherwise, breaking ties by ascending object ID, then
-// by ascending start page. Object IDs are unique within one hm.Memory and
-// each (object, region) enters a list at most once, and densities are
-// never NaN (candidates need a positive score; scores are sums of
-// non-negative profiler estimates), so the order is total: any correct
-// sort yields the same sequence.
+// compareUnits orders keys by density, hottest first when hottestFirst is
+// set and coldest first otherwise, breaking ties by ascending object ID,
+// then by ascending start page. Object IDs are unique within one
+// hm.Memory and each (object, region) enters a list at most once, and
+// densities are never NaN (candidates need a positive score; scores are
+// sums of non-negative profiler estimates), so the order is total: any
+// correct sort yields the same sequence, and the first key of a list is
+// its minimum under this order.
+func compareUnits(a, b rankKey, hottestFirst bool) int {
+	if a.density != b.density {
+		if (a.density > b.density) == hottestFirst {
+			return -1
+		}
+		return 1
+	}
+	if a.id != b.id {
+		return cmp.Compare(a.id, b.id)
+	}
+	return cmp.Compare(a.start, b.start)
+}
+
+// rankUnits sorts keys by compareUnits.
 func rankUnits(keys []rankKey, hottestFirst bool) {
-	slices.SortFunc(keys, func(a, b rankKey) int {
-		if a.density != b.density {
-			if (a.density > b.density) == hottestFirst {
-				return -1
-			}
-			return 1
-		}
-		if a.id != b.id {
-			return cmp.Compare(a.id, b.id)
-		}
-		return cmp.Compare(a.start, b.start)
-	})
+	slices.SortFunc(keys, func(a, b rankKey) int { return compareUnits(a, b, hottestFirst) })
 }
 
 // Tick implements hm.Policy.
@@ -214,44 +218,77 @@ func (d *Daemon) Tick(now float64, mem *hm.Memory, tasks []hm.TaskStatus) {
 		*score(r.Obj, r.Page) += (1 - scoreDecay) * r.Accesses
 	}
 
+	// A NoEvict daemon with no free DRAM moves nothing: its walk would stop
+	// at the first allowed candidate, having counted the blocked ones
+	// ranked above it.
+	if d.NoEvict && mem.FreePages(hm.DRAM) == 0 {
+		d.GateBlocked += d.blockedAboveFirstAllowed()
+		return
+	}
+
 	// Units of management: regions of RegionPages pages (Merchandiser
 	// overrides to single pages). A region's candidacy is judged by the
 	// per-page score density of its PM-resident pages; eviction by the
 	// density of DRAM-resident pages. Victims are read only on the
 	// eviction branch, which a NoEvict daemon never reaches, so it does
-	// not collect them.
+	// not collect them. A unit's pages are pages[lo:hi] of one flat
+	// buffer, sized up front for every page a unit can hold; allowed is
+	// the gate's verdict on its object, which only Update changes.
 	type unit struct {
-		obj   *hm.Object
-		pages []int
+		obj     *hm.Object
+		lo, hi  int
+		allowed bool
 	}
 	rp := d.cfg.RegionPages
+	size := 0
+	for obj := range d.scores {
+		size += obj.NumPages()
+	}
+	if !d.NoEvict {
+		size += int(mem.UsedPages(hm.DRAM)) // unscored objects' victims
+	}
+	pages := make([]int32, 0, size)
 	var cands, victims []unit
 	var candKeys, victimKeys []rankKey
-	for obj, sc := range d.scores {
-		n := obj.NumPages()
-		for start := 0; start < n; start += rp {
-			end := start + rp
-			if end > n {
-				end = n
-			}
-			var pmPages, dramPages []int
-			var pmScore, dramScore float64
-			for p := start; p < end; p++ {
-				if obj.Loc[p] == hm.PM {
-					pmPages = append(pmPages, p)
-					pmScore += sc[p]
-				} else if !d.NoEvict {
-					dramPages = append(dramPages, p)
+	// addVictim makes obj's DRAM pages in [start, end) one victim unit,
+	// ranked by their mean score (zero without scores).
+	addVictim := func(obj *hm.Object, sc []float64, start, end int) {
+		lo := len(pages)
+		var dramScore float64
+		for p := start; p < end; p++ {
+			if obj.Loc[p] == hm.DRAM {
+				pages = append(pages, int32(p))
+				if sc != nil {
 					dramScore += sc[p]
 				}
 			}
-			if len(pmPages) > 0 && pmScore > 0 {
-				candKeys = append(candKeys, rankKey{pmScore / float64(len(pmPages)), obj.ID, start, len(cands)})
-				cands = append(cands, unit{obj, pmPages})
+		}
+		if n := len(pages) - lo; n > 0 {
+			victimKeys = append(victimKeys, rankKey{dramScore / float64(n), obj.ID, start, len(victims)})
+			victims = append(victims, unit{obj, lo, len(pages), false})
+		}
+	}
+	for obj, sc := range d.scores {
+		n := obj.NumPages()
+		allowed := d.Gate == nil || d.Gate.Allows(obj)
+		for start := 0; start < n; start += rp {
+			end := min(start+rp, n)
+			lo := len(pages)
+			var pmScore float64
+			for p := start; p < end; p++ {
+				if obj.Loc[p] == hm.PM {
+					pages = append(pages, int32(p))
+					pmScore += sc[p]
+				}
 			}
-			if len(dramPages) > 0 {
-				victimKeys = append(victimKeys, rankKey{dramScore / float64(len(dramPages)), obj.ID, start, len(victims)})
-				victims = append(victims, unit{obj, dramPages})
+			if pm := len(pages) - lo; pm > 0 && pmScore > 0 {
+				candKeys = append(candKeys, rankKey{pmScore / float64(pm), obj.ID, start, len(cands)})
+				cands = append(cands, unit{obj, lo, len(pages), allowed})
+			} else {
+				pages = pages[:lo]
+			}
+			if !d.NoEvict {
+				addVictim(obj, sc, start, end)
 			}
 		}
 	}
@@ -262,22 +299,8 @@ func (d *Daemon) Tick(now float64, mem *hm.Memory, tasks []hm.TaskStatus) {
 			if _, ok := d.scores[obj]; ok {
 				continue
 			}
-			n := obj.NumPages()
-			for start := 0; start < n; start += rp {
-				end := start + rp
-				if end > n {
-					end = n
-				}
-				var dramPages []int
-				for p := start; p < end; p++ {
-					if obj.Loc[p] == hm.DRAM {
-						dramPages = append(dramPages, p)
-					}
-				}
-				if len(dramPages) > 0 {
-					victimKeys = append(victimKeys, rankKey{0, obj.ID, start, len(victims)})
-					victims = append(victims, unit{obj, dramPages})
-				}
+			for start := 0; start < obj.NumPages(); start += rp {
+				addVictim(obj, nil, start, min(start+rp, obj.NumPages()))
 			}
 		}
 	}
@@ -292,12 +315,12 @@ func (d *Daemon) Tick(now float64, mem *hm.Memory, tasks []hm.TaskStatus) {
 			break
 		}
 		c := cands[ck.unit]
-		if d.Gate != nil && !d.Gate.Allows(c.obj) {
-			d.GateBlocked += uint64(len(c.pages))
+		if !c.allowed {
+			d.GateBlocked += uint64(c.hi - c.lo)
 			continue
 		}
 		stop := false
-		for _, p := range c.pages {
+		for _, p := range pages[c.lo:c.hi] {
 			if migrated >= d.cfg.MaxMigrationsPerTick {
 				break
 			}
@@ -320,7 +343,8 @@ func (d *Daemon) Tick(now float64, mem *hm.Memory, tasks []hm.TaskStatus) {
 						ev = map[int]bool{}
 						evicted[v.obj] = ev
 					}
-					for _, vp := range v.pages {
+					for _, vp := range pages[v.lo:v.hi] {
+						vp := int(vp)
 						if ev[vp] || v.obj.Loc == nil || vp >= v.obj.NumPages() || v.obj.Loc[vp] != hm.DRAM {
 							continue
 						}
@@ -340,7 +364,7 @@ func (d *Daemon) Tick(now float64, mem *hm.Memory, tasks []hm.TaskStatus) {
 					break
 				}
 			}
-			if err := mem.Migrate(c.obj, p, hm.DRAM); err != nil {
+			if err := mem.Migrate(c.obj, int(p), hm.DRAM); err != nil {
 				if errors.Is(err, merr.ErrQuota) {
 					// Only this candidate's tenant is out of quota;
 					// candidates of other tenants may still have room.
@@ -357,6 +381,62 @@ func (d *Daemon) Tick(now float64, mem *hm.Memory, tasks []hm.TaskStatus) {
 		}
 	}
 	d.Migrations += uint64(migrated)
+}
+
+// blockedAboveFirstAllowed returns what the candidate walk adds to
+// GateBlocked when it stops at the first allowed candidate: the PM pages
+// of every gate-blocked candidate ranked above it, or of every blocked
+// candidate when none is allowed. compareUnits is a total order, so the
+// first allowed candidate is the minimum over the allowed ones, and a
+// blocked candidate precedes it exactly when it compares below it: no
+// sort is needed. A blocked candidate ranked below the best allowed one
+// seen so far can never precede the first allowed one, so only the others
+// are kept for the final count.
+func (d *Daemon) blockedAboveFirstAllowed() uint64 {
+	if d.Gate == nil {
+		return 0 // every candidate is allowed
+	}
+	type blockedUnit struct {
+		key   rankKey
+		pages int
+	}
+	var blocked []blockedUnit
+	var first rankKey
+	found := false
+	rp := d.cfg.RegionPages
+	for obj, sc := range d.scores {
+		n := obj.NumPages()
+		allowed := d.Gate.Allows(obj)
+		for start := 0; start < n; start += rp {
+			end := min(start+rp, n)
+			pm := 0
+			var pmScore float64
+			for p := start; p < end; p++ {
+				if obj.Loc[p] == hm.PM {
+					pm++
+					pmScore += sc[p]
+				}
+			}
+			if pm == 0 || !(pmScore > 0) {
+				continue // not a candidate
+			}
+			k := rankKey{density: pmScore / float64(pm), id: obj.ID, start: start}
+			switch {
+			case found && compareUnits(k, first, true) > 0:
+			case allowed:
+				first, found = k, true
+			default:
+				blocked = append(blocked, blockedUnit{k, pm})
+			}
+		}
+	}
+	var pages uint64
+	for _, b := range blocked {
+		if !found || compareUnits(b.key, first, true) < 0 {
+			pages += uint64(b.pages)
+		}
+	}
+	return pages
 }
 
 // MigrationSpread returns the largest and smallest per-task DRAM-bound

@@ -15,9 +15,10 @@
 // Every pointer write goes through store.AtomicWriteFile (write, fsync,
 // rename, fsync directory entry), so a crash never leaves a torn or
 // unsynced promotion. Publishing verifies the artifact restores and
-// records its digest; resolving re-verifies the digest, so bit rot or a
-// tampered artifact fails loudly as merr.ErrBadArtifact instead of
-// being served.
+// records its digest; every read of the artifact is checked against that
+// digest (Promote and Verify hash the file; Resolve hands the digest to
+// the replica that reads it), so bit rot or a tampered artifact fails
+// loudly as merr.ErrBadArtifact instead of being served.
 package registry
 
 import (
@@ -224,22 +225,24 @@ func (r *Registry) currentLocked() (string, error) {
 	return v, nil
 }
 
-// Current resolves the promoted version, re-verifying the artifact's
-// digest — what a replica loads at boot and on reload. Before any
-// promotion it fails with merr.ErrNotReady.
-func (r *Registry) Current() (Entry, error) {
+// Resolve names the promoted version, its artifact path and the digest
+// recorded at publish, without reading the artifact (Bytes stays 0) —
+// what a replica loads at boot and on reload. Whoever reads the bytes
+// must check them against SHA256, as serve does while reading them for
+// a restore, so bit rot or a tampered artifact is refused before it is
+// served. Before any promotion it fails with merr.ErrNotReady.
+func (r *Registry) Resolve() (Entry, error) {
 	r.mu.Lock()
 	v, err := r.currentLocked()
 	r.mu.Unlock()
 	if err != nil {
 		return Entry{}, err
 	}
-	e, err := r.Verify(v)
+	sum, err := r.recordedSHA(v)
 	if err != nil {
 		return Entry{}, err
 	}
-	e.Current = true
-	return e, nil
+	return Entry{Version: v, Path: r.ArtifactPath(v), SHA256: sum, Current: true}, nil
 }
 
 // List returns every published version in sorted order, with the

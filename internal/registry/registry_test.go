@@ -38,9 +38,9 @@ func TestPublishPromoteResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Before any promotion, Current is ErrNotReady.
-	if _, err := r.Current(); !errors.Is(err, merr.ErrNotReady) {
-		t.Fatalf("Current before promote: %v, want ErrNotReady", err)
+	// Before any promotion, Resolve is ErrNotReady.
+	if _, err := r.Resolve(); !errors.Is(err, merr.ErrNotReady) {
+		t.Fatalf("Resolve before promote: %v, want ErrNotReady", err)
 	}
 
 	e1, err := r.Publish("v1", writeArtifact(t, dir, 1))
@@ -51,14 +51,14 @@ func TestPublishPromoteResolve(t *testing.T) {
 		t.Fatalf("bad publish entry: %+v", e1)
 	}
 	// Published but not promoted: still not ready.
-	if _, err := r.Current(); !errors.Is(err, merr.ErrNotReady) {
-		t.Fatalf("Current before promote: %v, want ErrNotReady", err)
+	if _, err := r.Resolve(); !errors.Is(err, merr.ErrNotReady) {
+		t.Fatalf("Resolve before promote: %v, want ErrNotReady", err)
 	}
 
 	if err := r.Promote("v1"); err != nil {
 		t.Fatal(err)
 	}
-	cur, err := r.Current()
+	cur, err := r.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPublishPromoteResolve(t *testing.T) {
 	if err := r.Promote("v2"); err != nil {
 		t.Fatal(err)
 	}
-	cur, err = r.Current()
+	cur, err = r.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestPublishPromoteResolve(t *testing.T) {
 	if prev != "v1" {
 		t.Fatalf("rollback promoted %q, want v1", prev)
 	}
-	cur, err = r.Current()
+	cur, err = r.Resolve()
 	if err != nil || cur.Version != "v1" {
 		t.Fatalf("current after rollback: %+v, %v", cur, err)
 	}
@@ -205,13 +205,16 @@ func TestCorruptionDetectedOnResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Publish("v1", writeArtifact(t, dir, 1)); err != nil {
+	e, err := r.Publish("v1", writeArtifact(t, dir, 1))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Promote("v1"); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte in the stored artifact: Current must refuse to serve it.
+	// Flip a byte in the stored artifact: Verify and Promote must refuse
+	// it, and Resolve must hand the replica the digest recorded at
+	// publish, which the rotten bytes no longer hash to.
 	path := r.ArtifactPath("v1")
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -221,16 +224,27 @@ func TestCorruptionDetectedOnResolve(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Current(); !errors.Is(err, merr.ErrBadArtifact) {
-		t.Fatalf("Current on corrupt artifact: %v, want ErrBadArtifact", err)
-	}
 	if _, err := r.Verify("v1"); !errors.Is(err, merr.ErrBadArtifact) {
 		t.Fatalf("Verify on corrupt artifact: %v, want ErrBadArtifact", err)
+	}
+	if err := r.Promote("v1"); !errors.Is(err, merr.ErrBadArtifact) {
+		t.Fatalf("Promote of corrupt artifact: %v, want ErrBadArtifact", err)
+	}
+	cur, err := r.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := store.FileSHA256(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.Version != "v1" || cur.SHA256 != e.SHA256 || got == cur.SHA256 {
+		t.Fatalf("Resolve on corrupt artifact: %+v (file hashes %s), want v1 with the digest recorded at publish, %s", cur, got, e.SHA256)
 	}
 }
 
 // TestConcurrentPublishPromote races publishers and promoters against a
-// resolver; every successful Current() must name a version that was
+// resolver; every successful Resolve() must name a version that was
 // fully published (digest verified).
 func TestConcurrentPublishPromote(t *testing.T) {
 	dir := t.TempDir()
@@ -259,7 +273,7 @@ func TestConcurrentPublishPromote(t *testing.T) {
 	for {
 		select {
 		case <-done:
-			cur, err := r.Current()
+			cur, err := r.Resolve()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,7 +289,7 @@ func TestConcurrentPublishPromote(t *testing.T) {
 			}
 			return
 		default:
-			if cur, err := r.Current(); err == nil {
+			if cur, err := r.Resolve(); err == nil {
 				if _, verr := r.Verify(cur.Version); verr != nil {
 					t.Fatalf("resolved a half-published version %s: %v", cur.Version, verr)
 				}

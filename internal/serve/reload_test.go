@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -40,13 +41,15 @@ func saveVersionedArtifact(t testing.TB, dir string, seq int) string {
 	return path
 }
 
-func registrySource(reg *registry.Registry) func(context.Context) (string, string, error) {
-	return func(context.Context) (string, string, error) {
-		e, err := reg.Current()
+// registrySource is merchserved's reload source: the registry's
+// promoted version with the digest recorded at publish.
+func registrySource(reg *registry.Registry) func(context.Context) (ArtifactRef, error) {
+	return func(context.Context) (ArtifactRef, error) {
+		e, err := reg.Resolve()
 		if err != nil {
-			return "", "", err
+			return ArtifactRef{}, err
 		}
-		return e.Path, e.Version, nil
+		return ArtifactRef{Path: e.Path, Version: e.Version, SHA256: e.SHA256}, nil
 	}
 }
 
@@ -184,7 +187,7 @@ func TestReloadRejectsUnsafeModels(t *testing.T) {
 
 	version := "v1"
 	reg := obs.New()
-	s := New(Config{Obs: reg, Source: func(context.Context) (string, string, error) { return path, version, nil }})
+	s := New(Config{Obs: reg, Source: func(context.Context) (ArtifactRef, error) { return ArtifactRef{Path: path, Version: version}, nil }})
 	defer shutdown(t, s)
 	if _, reloaded, err := s.Reload(context.Background()); err != nil || !reloaded {
 		t.Fatalf("good reload: %v %v", reloaded, err)
@@ -207,6 +210,146 @@ func TestReloadRejectsUnsafeModels(t *testing.T) {
 			t.Fatalf("%s: place after the failed reload: %v", filepath.Base(p), err)
 		}
 		sameJSON(t, filepath.Base(p), got, want)
+	}
+}
+
+// postPlace answers req through the /place endpoint.
+func postPlace(t *testing.T, url string, req *PlacementRequest) *PlacementResponse {
+	t.Helper()
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/place", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out PlacementResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/place: status %d", resp.StatusCode)
+	}
+	return &out
+}
+
+// TestReloadRejectsCorruptPromotedArtifact: a version whose artifact rots
+// on disk after publish is refused on reload — the bytes the replica
+// reads do not hash to the digest the registry recorded — with
+// ErrBadArtifact and one more reload error, and /place keeps answering
+// with the model already loaded. So is one replaced by another artifact
+// that would restore, and the same check guards the cold start.
+func TestReloadRejectsCorruptPromotedArtifact(t *testing.T) {
+	dir := t.TempDir()
+	reg, err := registry.Open(filepath.Join(dir, "reg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v <= 2; v++ {
+		if _, err := reg.Publish(fmt.Sprintf("v%d", v), saveVersionedArtifact(t, dir, v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := reg.Promote("v1"); err != nil {
+		t.Fatal(err)
+	}
+	metrics := obs.New()
+	s := New(Config{Obs: metrics, Source: registrySource(reg)})
+	defer shutdown(t, s)
+	srv := httptest.NewServer(s.Handler(HTTPConfig{}))
+	defer srv.Close()
+	if _, reloaded, err := s.Reload(context.Background()); err != nil || !reloaded {
+		t.Fatalf("loading v1: %v %v", reloaded, err)
+	}
+	want := postPlace(t, srv.URL, testRequest("x", 3))
+
+	if err := reg.Promote("v2"); err != nil {
+		t.Fatal(err)
+	}
+	path := reg.ArtifactPath("v2")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	info, reloaded, err := s.Reload(context.Background())
+	if !errors.Is(err, merr.ErrBadArtifact) || reloaded || info.Version != "v1" {
+		t.Fatalf("reload of the corrupt v2: %+v %v %v, want ErrBadArtifact and v1 still loaded", info, reloaded, err)
+	}
+	if got := metrics.Counter("serve.reload_errors").Value(); got != 1 {
+		t.Fatalf("serve.reload_errors = %v, want 1", got)
+	}
+	sameJSON(t, "place after the refused reload", postPlace(t, srv.URL, testRequest("x", 3)), want)
+
+	// Valid bytes that are not the published ones: only the digest
+	// tells them apart.
+	other, err := os.ReadFile(saveVersionedArtifact(t, dir, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, other, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	info, reloaded, err = s.Reload(context.Background())
+	if !errors.Is(err, merr.ErrBadArtifact) || reloaded || info.Version != "v1" {
+		t.Fatalf("reload of the replaced v2: %+v %v %v, want ErrBadArtifact and v1 still loaded", info, reloaded, err)
+	}
+	if got := metrics.Counter("serve.reload_errors").Value(); got != 2 {
+		t.Fatalf("serve.reload_errors = %v, want 2", got)
+	}
+	sameJSON(t, "place after the second refused reload", postPlace(t, srv.URL, testRequest("x", 3)), want)
+
+	// A cold start from the same reference is refused too, and loads
+	// nothing.
+	ref, err := registrySource(reg)(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := New(Config{})
+	defer shutdown(t, cold)
+	if _, err := cold.LoadArtifact(context.Background(), ref); !errors.Is(err, merr.ErrBadArtifact) || cold.Ready() {
+		t.Fatalf("cold start from the corrupt v2: %v (ready %v), want ErrBadArtifact", err, cold.Ready())
+	}
+}
+
+// TestReloadOfUnchangedBytesIsNoop: reloading the version already
+// serving restores nothing and counts a no-op, not a reload.
+func TestReloadOfUnchangedBytesIsNoop(t *testing.T) {
+	dir := t.TempDir()
+	reg, err := registry.Open(filepath.Join(dir, "reg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Publish("v1", saveVersionedArtifact(t, dir, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Promote("v1"); err != nil {
+		t.Fatal(err)
+	}
+	metrics := obs.New()
+	s := New(Config{Obs: metrics, Source: registrySource(reg)})
+	defer shutdown(t, s)
+	first, reloaded, err := s.Reload(context.Background())
+	if err != nil || !reloaded {
+		t.Fatalf("first reload: %v %v", reloaded, err)
+	}
+	restores := metrics.WallTimer("serve.restore_seconds").Count()
+	for i := 0; i < 2; i++ {
+		info, reloaded, err := s.Reload(context.Background())
+		if err != nil || reloaded || info != first {
+			t.Fatalf("reload %d of unchanged bytes: %+v %v %v, want %+v unchanged", i+2, info, reloaded, err, first)
+		}
+	}
+	if got := metrics.WallTimer("serve.restore_seconds").Count(); got != restores {
+		t.Fatalf("no-op reloads restored: %d restores, want %d", got, restores)
+	}
+	if noops, reloads := metrics.Counter("serve.reload_noops").Value(), metrics.Counter("serve.reloads").Value(); noops != 2 || reloads != 1 {
+		t.Fatalf("serve.reload_noops = %v, serve.reloads = %v; want 2 and 1", noops, reloads)
 	}
 }
 

@@ -191,13 +191,41 @@ type Config struct {
 	// caller is answered. Called from the single planner goroutine, one
 	// record at a time; keep it fast.
 	PlanLog func(*store.PlanRecord)
-	// Source, when non-nil, resolves where the next Reload should restore
-	// from: an artifact path plus its version name (e.g. the registry's
-	// CURRENT). Reload without a Source fails.
-	Source func(ctx context.Context) (path, version string, err error)
+	// Source, when non-nil, resolves what the next Reload should restore:
+	// e.g. the registry's CURRENT with the digest recorded at publish.
+	// Reload without a Source fails.
+	Source func(ctx context.Context) (ArtifactRef, error)
 	// RestoreOptions pass to every artifact restore (boot and reloads) —
 	// typically WithObserver so restored models record into /metricsz.
 	RestoreOptions []merchandiser.RestoreOption
+}
+
+// ArtifactRef names an artifact to restore.
+type ArtifactRef struct {
+	Path string
+	// Version stamps the restored model ("" records "unversioned").
+	Version string
+	// SHA256, when set, is the hex digest the artifact's bytes must hash
+	// to, such as a registry's record from publish time. Bytes that hash
+	// differently are refused with merr.ErrBadArtifact before any
+	// restore.
+	SHA256 string
+}
+
+// read reads the artifact and hashes it, once, refusing bytes that do
+// not match ref.SHA256 when it is set. It returns the bytes and their hex
+// SHA-256.
+func (ref ArtifactRef) read() ([]byte, string, error) {
+	data, err := os.ReadFile(ref.Path)
+	if err != nil {
+		return nil, "", merr.Wrap(merr.ErrBadArtifact, "serve: read artifact", err)
+	}
+	sum := sha256.Sum256(data)
+	got := hex.EncodeToString(sum[:])
+	if ref.SHA256 != "" && got != ref.SHA256 {
+		return nil, "", merr.Errorf(merr.ErrBadArtifact, "serve: artifact %s is corrupt: recorded sha %.16s…, file hashes %.16s…", ref.Path, ref.SHA256, got)
+	}
+	return data, got, nil
 }
 
 func (c Config) withDefaults() Config {
@@ -296,15 +324,22 @@ func (s *Service) install(lm *loadedModel) {
 // LoadArtifactAs restores the system artifact at path with
 // Config.RestoreOptions and installs it under version (e.g. the
 // registry version the path was resolved from; "" records
-// "unversioned"). The restore is timed as the volatile
-// serve.restore_seconds wall timer on the service's registry — the
-// daemon's cold-start cost, visible in /metricsz.
+// "unversioned").
 func (s *Service) LoadArtifactAs(ctx context.Context, path, version string) (*merchandiser.System, error) {
-	data, err := os.ReadFile(path)
+	return s.LoadArtifact(ctx, ArtifactRef{Path: path, Version: version})
+}
+
+// LoadArtifact reads the artifact ref names once, refuses it when it does
+// not hash to ref.SHA256 (if set), restores it with
+// Config.RestoreOptions and installs it. The restore is timed as the
+// volatile serve.restore_seconds wall timer on the service's registry —
+// the daemon's cold-start cost, visible in /metricsz.
+func (s *Service) LoadArtifact(ctx context.Context, ref ArtifactRef) (*merchandiser.System, error) {
+	data, sum, err := ref.read()
 	if err != nil {
-		return nil, merr.Wrap(merr.ErrBadArtifact, "serve: read artifact", err)
+		return nil, err
 	}
-	lm, err := s.restoreBundle(ctx, data, sha256.Sum256(data), version)
+	lm, err := s.restoreBundle(ctx, data, sum, ref.Version)
 	if err != nil {
 		return nil, err
 	}
@@ -313,10 +348,10 @@ func (s *Service) LoadArtifactAs(ctx context.Context, path, version string) (*me
 }
 
 // restoreBundle restores the system from artifact bytes its caller has
-// already read and hashed (sum is their SHA-256). It runs entirely off
-// the serving path: the current model keeps answering while a reload
-// restores.
-func (s *Service) restoreBundle(ctx context.Context, data []byte, sum [sha256.Size]byte, version string) (*loadedModel, error) {
+// already read and hashed (sum is their hex SHA-256). It runs entirely
+// off the serving path: the current model keeps answering while a
+// reload restores.
+func (s *Service) restoreBundle(ctx context.Context, data []byte, sum, version string) (*loadedModel, error) {
 	if version == "" {
 		version = "unversioned"
 	}
@@ -326,36 +361,36 @@ func (s *Service) restoreBundle(ctx context.Context, data []byte, sum [sha256.Si
 	if err != nil {
 		return nil, err
 	}
-	return &loadedModel{sys: sys, info: ModelInfo{Version: version, SHA256: hex.EncodeToString(sum[:])}}, nil
+	return &loadedModel{sys: sys, info: ModelInfo{Version: version, SHA256: sum}}, nil
 }
 
-// Reload re-resolves Config.Source and, if it names bytes different from
-// what is serving, restores the artifact in the background and swaps it
-// in between plans — zero admitted requests dropped, /readyz
-// never flaps. It returns the (possibly unchanged) loaded info and
-// whether a swap happened. Concurrent Reloads serialize.
+// Reload re-resolves Config.Source, reads and hashes the artifact it
+// names once and, if those bytes match the source's digest and differ
+// from what is serving, restores them in the background and swaps them
+// in between plans — zero admitted requests dropped, /readyz never
+// flaps. It returns the (possibly unchanged) loaded info and whether a
+// swap happened. Concurrent Reloads serialize.
 func (s *Service) Reload(ctx context.Context) (ModelInfo, bool, error) {
 	if s.cfg.Source == nil {
 		return s.Info(), false, merr.Errorf(merr.ErrBadSpec, "serve: no reload source configured")
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	path, version, err := s.cfg.Source(ctx)
+	ref, err := s.cfg.Source(ctx)
 	if err != nil {
 		s.cfg.Obs.Counter("serve.reload_errors").Inc()
 		return s.Info(), false, err
 	}
-	data, err := os.ReadFile(path)
+	data, sum, err := ref.read()
 	if err != nil {
 		s.cfg.Obs.Counter("serve.reload_errors").Inc()
-		return s.Info(), false, merr.Wrap(merr.ErrBadArtifact, "serve: read artifact", err)
+		return s.Info(), false, err
 	}
-	sum := sha256.Sum256(data)
-	if cur := s.Info(); cur.SHA256 == hex.EncodeToString(sum[:]) {
+	if cur := s.Info(); cur.SHA256 == sum {
 		s.cfg.Obs.Counter("serve.reload_noops").Inc()
 		return cur, false, nil
 	}
-	lm, err := s.restoreBundle(ctx, data, sum, version)
+	lm, err := s.restoreBundle(ctx, data, sum, ref.Version)
 	if err != nil {
 		s.cfg.Obs.Counter("serve.reload_errors").Inc()
 		return s.Info(), false, err

@@ -123,6 +123,24 @@ func TestRMATMatchesSortedReference(t *testing.T) {
 	}
 }
 
+// An unweighted RMAT skips only the value draws, which come after every
+// edge: its graph must be the weighted one's.
+func TestRMATUnweightedKeepsTheGraph(t *testing.T) {
+	for _, tc := range orderConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Unweighted = true
+			got, want := RMAT(cfg), RMAT(tc.cfg)
+			if got.Val != nil {
+				t.Fatalf("unweighted RMAT drew %d values", len(got.Val))
+			}
+			if got.Rows != want.Rows || got.Cols != want.Cols || !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+				t.Fatal("unweighted RMAT's graph differs from the weighted one's")
+			}
+		})
+	}
+}
+
 // Permute must give the reference's RowPtr and ColIdx, and every run of
 // entries sharing a (row, col) must hold the values of the input run it
 // came from, in input order (the reference's unstable sort holds them in

@@ -2,7 +2,8 @@
 // SpGEMM and BFS applications are built on: a CSR matrix type, an
 // RMAT/Kronecker generator standing in for the paper's GAP-kron and
 // com-Orkut inputs, Gustavson's SpGEMM (symbolic + numeric, the Ginkgo
-// structure of Figure 1.b), and a level-synchronous BFS.
+// structure of Figure 1.b), and a level-synchronous BFS that counts edge
+// work per vertex partition.
 //
 // These run for real — the applications derive their simulator workloads
 // from actual per-task non-zero and edge counts, and tests verify results
@@ -11,6 +12,7 @@ package sparse
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 )
@@ -66,6 +68,9 @@ type RMATConfig struct {
 	Edges   int
 	A, B, C float64
 	Seed    int64
+	// Unweighted skips the values: Val stays nil. They are drawn after
+	// every edge, so RowPtr and ColIdx are those of the weighted matrix.
+	Unweighted bool
 }
 
 func (c RMATConfig) withDefaults() RMATConfig {
@@ -88,6 +93,8 @@ func (c RMATConfig) withDefaults() RMATConfig {
 // sorted by column, so each row lists its columns ascending, duplicates
 // adjacent. The values are drawn last, in that CSR order. The (row, col)
 // pairs carry nothing else, so any correct sort yields the same matrix.
+// With Unweighted set the value draws are skipped; nothing drawn before
+// them changes, so the graph is the same.
 func RMAT(cfg RMATConfig) *CSR {
 	cfg = cfg.withDefaults()
 	n := 1 << cfg.Scale
@@ -129,6 +136,9 @@ func RMAT(cfg RMATConfig) *CSR {
 	}
 	for r := 0; r < n; r++ {
 		slices.Sort(out.ColIdx[out.RowPtr[r]:out.RowPtr[r+1]])
+	}
+	if cfg.Unweighted {
+		return out
 	}
 	out.Val = make([]float64, m)
 	for i := range out.Val {
@@ -392,68 +402,109 @@ func MultiplyDense(a, b *CSR) [][]float64 {
 	return out
 }
 
-// BFSResult holds a traversal's outcome.
-type BFSResult struct {
-	Dist []int32 // -1 for unreachable
-	// EdgesByPartition counts edge relaxations attributed to each vertex
-	// partition — the per-task workload of the BFS application.
-	EdgesByPartition []int64
-	// EdgeMatrix[s][t] counts relaxations from source partition s into
-	// target partition t — where each task's distance-array updates land.
-	EdgeMatrix [][]int64
-	Levels     int
+// Traverser runs breadth-first searches over one graph and attributes
+// each search's edge work to a fixed vertex partitioning. partitions
+// gives [lo, hi) vertex ranges; a relaxed edge counts for the partition
+// owning its *source* vertex (owner-computes, as in distributed BFS). A
+// vertex no range covers belongs to partition 0, and where ranges
+// overlap the later one owns the vertex. There must be at least one
+// partition.
+//
+// A search records only what a level-synchronous BFS's counts depend on:
+// a visited bitmap (one bit per vertex), the number of levels and the
+// out-degree sum of the vertices reached. The per-partition counts are
+// integer sums over the reached vertices' out-edges, so they depend on
+// the reached set alone, never on the order a traversal visits it:
+// Counts recomputes them only when the reached set differs from the one
+// it counted last, and otherwise hands back the same counts.
+type Traverser struct {
+	g     *CSR
+	parts int
+	owner []int32
+
+	seen           []uint64 // the last search's reached set
+	frontier, next []int32
+
+	counted []uint64 // the reached set byPart and matrix belong to
+	byPart  []int64
+	matrix  [][]int64
 }
 
-// BFS runs a level-synchronous breadth-first search from src over the
-// graph g (CSR adjacency). partitions gives [lo, hi) vertex ranges; edge
-// work is attributed to the partition owning the *source* vertex of each
-// relaxed edge (owner-computes, as in distributed BFS).
-func BFS(g *CSR, src int, partitions [][2]int) (*BFSResult, error) {
-	if src < 0 || src >= g.Rows {
-		return nil, fmt.Errorf("sparse: bfs source %d out of range %d", src, g.Rows)
-	}
-	res := &BFSResult{
-		Dist:             make([]int32, g.Rows),
-		EdgesByPartition: make([]int64, len(partitions)),
-		EdgeMatrix:       make([][]int64, len(partitions)),
-	}
-	for i := range res.EdgeMatrix {
-		res.EdgeMatrix[i] = make([]int64, len(partitions))
-	}
-	for i := range res.Dist {
-		res.Dist[i] = -1
-	}
+// NewTraverser prepares searches over g with the given partitions.
+func NewTraverser(g *CSR, partitions [][2]int) *Traverser {
 	owner := make([]int32, g.Rows)
 	for p, pr := range partitions {
 		for v := pr[0]; v < pr[1] && v < g.Rows; v++ {
 			owner[v] = int32(p)
 		}
 	}
-	res.Dist[src] = 0
-	frontier := []int32{int32(src)}
-	level := int32(0)
+	return &Traverser{g: g, parts: len(partitions), owner: owner, seen: make([]uint64, (g.Rows+63)/64)}
+}
+
+// BFS runs a level-synchronous breadth-first search from src. It returns
+// levels, the eccentricity of the source (the largest distance
+// reached), and edges, the number of edges the search relaxes: every
+// out-edge of every reached vertex, relaxed once.
+func (t *Traverser) BFS(src int) (levels int, edges int64, err error) {
+	g := t.g
+	if src < 0 || src >= g.Rows {
+		return 0, 0, fmt.Errorf("sparse: bfs source %d out of range %d", src, g.Rows)
+	}
+	clear(t.seen)
+	t.seen[src>>6] |= 1 << (src & 63)
+	frontier := append(t.frontier[:0], int32(src))
+	next := t.next[:0]
 	for len(frontier) > 0 {
-		level++
-		var next []int32
+		next = next[:0]
 		for _, u := range frontier {
-			for p := g.RowPtr[u]; p < g.RowPtr[u+1]; p++ {
-				v := g.ColIdx[p]
-				res.EdgesByPartition[owner[u]]++
-				res.EdgeMatrix[owner[u]][owner[v]]++
-				if res.Dist[v] < 0 {
-					res.Dist[v] = level
+			lo, hi := g.RowPtr[u], g.RowPtr[u+1]
+			edges += int64(hi - lo)
+			for _, v := range g.ColIdx[lo:hi] {
+				w, bit := v>>6, uint64(1)<<(uint32(v)&63)
+				if t.seen[w]&bit == 0 {
+					t.seen[w] |= bit
 					next = append(next, v)
 				}
 			}
 		}
-		frontier = next
+		if len(next) > 0 {
+			levels++
+		}
+		frontier, next = next, frontier
 	}
-	// Levels is the eccentricity of the source: the largest distance
-	// reached.
-	for _, d := range res.Dist {
-		if int(d) > res.Levels {
-			res.Levels = int(d)
+	t.frontier, t.next = frontier, next
+	return levels, edges, nil
+}
+
+// Counts returns the last search's edge relaxations per partition:
+// byPart[s] counts the out-edges of the reached vertices partition s
+// owns — the per-task workload of the BFS application — and
+// matrix[s][d] those of them whose target partition d owns, where each
+// task's distance-array updates land. They are computed only when the
+// reached set differs from the one counted last; otherwise the previous
+// slices come back, so callers must not modify them.
+func (t *Traverser) Counts() (byPart []int64, matrix [][]int64) {
+	if t.byPart != nil && slices.Equal(t.seen, t.counted) {
+		return t.byPart, t.matrix
+	}
+	g, owner := t.g, t.owner
+	byPart = make([]int64, t.parts)
+	matrix = make([][]int64, t.parts)
+	for i := range matrix {
+		matrix[i] = make([]int64, t.parts)
+	}
+	for w, word := range t.seen {
+		for ; word != 0; word &= word - 1 {
+			u := w<<6 | bits.TrailingZeros64(word)
+			lo, hi := g.RowPtr[u], g.RowPtr[u+1]
+			byPart[owner[u]] += int64(hi - lo)
+			row := matrix[owner[u]]
+			for _, v := range g.ColIdx[lo:hi] {
+				row[owner[v]]++
+			}
 		}
 	}
-	return res, nil
+	t.counted = append(t.counted[:0], t.seen...)
+	t.byPart, t.matrix = byPart, matrix
+	return byPart, matrix
 }

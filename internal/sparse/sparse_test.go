@@ -159,50 +159,61 @@ func TestBFSDistances(t *testing.T) {
 		ColIdx: []int32{1, 2, 3},
 		Val:    []float64{1, 1, 1},
 	}
-	res, err := BFS(g, 0, [][2]int{{0, 5}})
+	tr := NewTraverser(g, [][2]int{{0, 5}})
+	levels, edges, err := tr.BFS(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []int32{0, 1, 2, 3, -1}
-	for i, d := range want {
-		if res.Dist[i] != d {
-			t.Fatalf("dist[%d] = %d, want %d", i, res.Dist[i], d)
+	for v, want := range []bool{true, true, true, true, false} {
+		if reached(tr, v) != want {
+			t.Fatalf("reached[%d] = %v, want %v", v, reached(tr, v), want)
 		}
 	}
-	if res.Levels != 3 {
-		t.Fatalf("levels = %d", res.Levels)
+	if levels != 3 || edges != 3 {
+		t.Fatalf("levels = %d, edges = %d; want 3 and 3", levels, edges)
 	}
-	if _, err := BFS(g, 99, [][2]int{{0, 5}}); err == nil {
+	if _, _, err := tr.BFS(99); err == nil {
 		t.Fatal("bad source accepted")
+	}
+	if _, _, err := tr.BFS(-1); err == nil {
+		t.Fatal("negative source accepted")
 	}
 }
 
 func TestBFSEdgeAttribution(t *testing.T) {
 	g := RMAT(RMATConfig{Scale: 8, EdgeFactor: 8, Seed: 5})
-	parts := RowBins(g, 4)
-	res, err := BFS(g, 0, parts)
+	tr := NewTraverser(g, RowBins(g, 4))
+	_, edges, err := tr.BFS(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var total int64
-	for _, e := range res.EdgesByPartition {
+	byPart, matrix := tr.Counts()
+	var total, fromMatrix int64
+	for s, e := range byPart {
 		total += e
+		for _, n := range matrix[s] {
+			fromMatrix += n
+		}
 	}
 	// Every edge of a reached vertex is relaxed exactly once.
 	var wantTotal int64
 	for v := 0; v < g.Rows; v++ {
-		if res.Dist[v] >= 0 {
+		if reached(tr, v) {
 			wantTotal += int64(g.RowPtr[v+1] - g.RowPtr[v])
 		}
 	}
-	if total != wantTotal {
-		t.Fatalf("attributed edges %d != relaxed edges %d", total, wantTotal)
+	if total != wantTotal || edges != wantTotal || fromMatrix != wantTotal {
+		t.Fatalf("attributed edges %d, search edges %d, matrix edges %d; relaxed edges %d", total, edges, fromMatrix, wantTotal)
 	}
 }
 
 func TestBFSMatchesSerialReference(t *testing.T) {
 	g := RMAT(RMATConfig{Scale: 7, EdgeFactor: 6, Seed: 6})
-	res, _ := BFS(g, 3, RowBins(g, 3))
+	tr := NewTraverser(g, RowBins(g, 3))
+	levels, _, err := tr.BFS(3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Serial reference.
 	dist := make([]int32, g.Rows)
 	for i := range dist {
@@ -221,10 +232,15 @@ func TestBFSMatchesSerialReference(t *testing.T) {
 			}
 		}
 	}
-	for i := range dist {
-		if dist[i] != res.Dist[i] {
-			t.Fatalf("dist[%d]: %d vs reference %d", i, res.Dist[i], dist[i])
+	var ecc int32
+	for i, d := range dist {
+		if reached(tr, i) != (d >= 0) {
+			t.Fatalf("reached[%d] = %v, reference distance %d", i, reached(tr, i), d)
 		}
+		ecc = max(ecc, d)
+	}
+	if levels != int(ecc) {
+		t.Fatalf("levels %d, reference eccentricity %d", levels, ecc)
 	}
 }
 

@@ -20,7 +20,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("building SpGEMM batch (real Gustavson kernels run up front)...")
+	fmt.Println("building SpGEMM batch (symbolic Gustavson kernels run up front; the checksum runs the numeric phase)...")
 	app, err := apps.NewSpGEMM(apps.SpGEMMConfig{
 		Tasks: 8, Scale: 13, EdgeFactor: 2, Instances: 4, Rep: 40, Seed: 7,
 	})

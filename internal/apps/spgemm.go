@@ -60,22 +60,47 @@ type spgemmTaskWork struct {
 // (Figure 1.b): every instance runs a batch of multiplications, one
 // C_t = A_t·A_tᵀ per task, with per-task input sizes drawn from a skewed
 // distribution — the "different distributions of non-zero elements of
-// each matrix" the paper names as SpGEMM's inherent imbalance. The real
-// Gustavson kernel runs at construction; its per-task gather and non-zero
-// counts become the simulator workload.
+// each matrix" the paper names as SpGEMM's inherent imbalance. The
+// Gustavson kernel's symbolic phase runs at construction on the real
+// operands; its per-task gather and non-zero counts become the simulator
+// workload. The numeric phase and the values run only when Checksum asks
+// for them: no count depends on a value.
 type SpGEMM struct {
 	cfg       SpGEMMConfig
 	instances [][]spgemmTaskWork
-	checksum  float64
+	// edges holds each (instance, task) operand's edge count, so Checksum
+	// can rebuild the operands.
+	edges [][]int
 
 	aObjs []*hm.Object
 	bObjs []*hm.Object
 	cObjs []*hm.Object
 }
 
-// NewSpGEMM builds the application, running the real SpGEMM for every
-// (instance, task) pair up front; matrices are discarded after their
-// counts are extracted.
+// operands builds task t's operands in instance i from an RMAT matrix
+// with the given edge count: A, relabeled, and B = Aᵀ, which comes with
+// the relabeling as the first of Permute's two transposes. They carry
+// values only when weighted.
+func (c SpGEMMConfig) operands(i, t, edges int, weighted bool) (a, b *sparse.CSR) {
+	m := sparse.RMAT(sparse.RMATConfig{
+		Scale: c.Scale, Edges: edges,
+		A: 0.35, B: 0.25, C: 0.25,
+		Seed:       c.Seed + int64(i*c.Tasks+t)*13,
+		Unweighted: !weighted,
+	})
+	return sparse.PermuteAndTranspose(m, c.Seed+int64(i*c.Tasks+t)*29)
+}
+
+// csrBytes is the footprint CSR.Bytes reports for a matrix with rows rows
+// and nnz stored values: the operands here are built structure-only, but
+// the simulated application stores its values.
+func csrBytes(rows int, nnz int64) uint64 {
+	return uint64(rows+1)*4 + uint64(nnz)*(4+8)
+}
+
+// NewSpGEMM builds the application, running the symbolic SpGEMM for every
+// (instance, task) pair up front on structure-only operands; matrices are
+// discarded after their counts are extracted.
 func NewSpGEMM(cfg SpGEMMConfig) (*SpGEMM, error) {
 	cfg = cfg.withDefaults()
 	app := &SpGEMM{cfg: cfg}
@@ -100,31 +125,28 @@ func NewSpGEMM(cfg SpGEMMConfig) (*SpGEMM, error) {
 	}
 	for i := 0; i < cfg.Instances; i++ {
 		works := make([]spgemmTaskWork, cfg.Tasks)
+		edgeCounts := make([]int, cfg.Tasks)
 		for t := 0; t < cfg.Tasks; t++ {
 			sizeMul := taskMul[t] * math.Exp(rng.NormFloat64()*0.06)
 			edges := int(float64((1<<cfg.Scale)*cfg.EdgeFactor) * sizeMul)
-			a := sparse.RMAT(sparse.RMATConfig{
-				Scale: cfg.Scale, Edges: edges,
-				A: 0.35, B: 0.25, C: 0.25,
-				Seed: cfg.Seed + int64(i*cfg.Tasks+t)*13,
-			})
-			a = sparse.Permute(a, cfg.Seed+int64(i*cfg.Tasks+t)*29)
-			b := sparse.Transpose(a)
+			a, b := cfg.operands(i, t, edges, false)
 			rowNNZ, gathers := sparse.SymbolicRange(a, b, 0, a.Rows)
-			c, _ := sparse.NumericRange(a, b, 0, a.Rows, rowNNZ)
-			for _, v := range c.Val {
-				app.checksum += v
+			var cNNZ int64
+			for _, n := range rowNNZ {
+				cNNZ += int64(n)
 			}
 			works[t] = spgemmTaskWork{
 				aNNZ:    a.NNZ(),
 				gathers: gathers,
-				cNNZ:    int64(c.NNZ()),
-				aBytes:  a.Bytes(),
-				bBytes:  b.Bytes(),
-				cBytes:  c.Bytes(),
+				cNNZ:    cNNZ,
+				aBytes:  csrBytes(a.Rows, int64(a.NNZ())),
+				bBytes:  csrBytes(b.Rows, int64(b.NNZ())),
+				cBytes:  csrBytes(a.Rows, cNNZ),
 			}
+			edgeCounts[t] = edges
 		}
 		app.instances = append(app.instances, works)
+		app.edges = append(app.edges, edgeCounts)
 	}
 	return app, nil
 }
@@ -135,9 +157,24 @@ func (s *SpGEMM) Name() string { return "SpGEMM" }
 // NumInstances implements task.App.
 func (s *SpGEMM) NumInstances() int { return s.cfg.Instances }
 
-// Checksum sums every computed C value — identical across placement
-// policies, since placement must never change results.
-func (s *SpGEMM) Checksum() float64 { return s.checksum }
+// Checksum sums every C value of every multiplication, in instance, task
+// and CSR order — identical across placement policies, since placement
+// must never change results. It rebuilds the weighted operands and runs
+// the numeric phase on each call: the construction builds structure only.
+func (s *SpGEMM) Checksum() float64 {
+	var sum float64
+	for i, counts := range s.edges {
+		for t, edges := range counts {
+			a, b := s.cfg.operands(i, t, edges, true)
+			rowNNZ, _ := sparse.SymbolicRange(a, b, 0, a.Rows)
+			c, _ := sparse.NumericRange(a, b, 0, a.Rows, rowNNZ)
+			for _, v := range c.Val {
+				sum += v
+			}
+		}
+	}
+	return sum
+}
 
 // Setup implements task.App; per-instance objects are allocated in
 // Instance.

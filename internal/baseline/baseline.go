@@ -389,24 +389,40 @@ func (d *Daemon) Tick(now float64, mem *hm.Memory, tasks []hm.TaskStatus) {
 // candidate when none is allowed. compareUnits is a total order, so the
 // first allowed candidate is the minimum over the allowed ones, and a
 // blocked candidate precedes it exactly when it compares below it: no
-// sort is needed. A blocked candidate ranked below the best allowed one
-// seen so far can never precede the first allowed one, so only the others
-// are kept for the final count.
+// sort is needed. One pass over the allowed objects finds that minimum,
+// and one over the blocked objects sums their candidates ranked above it,
+// so each page is read once and nothing is kept between the passes.
 func (d *Daemon) blockedAboveFirstAllowed() uint64 {
 	if d.Gate == nil {
 		return 0 // every candidate is allowed
 	}
-	type blockedUnit struct {
-		key   rankKey
-		pages int
-	}
-	var blocked []blockedUnit
 	var first rankKey
 	found := false
+	d.eachCandidate(true, func(k rankKey, _ int) {
+		if !found || compareUnits(k, first, true) < 0 {
+			first, found = k, true
+		}
+	})
+	var pages uint64
+	d.eachCandidate(false, func(k rankKey, pm int) {
+		if !found || compareUnits(k, first, true) < 0 {
+			pages += uint64(pm)
+		}
+	})
+	return pages
+}
+
+// eachCandidate calls fn for every candidate unit of a tick — a region
+// with PM-resident pages and a positive score — whose object the gate
+// allows (or blocks, when allowed is false), with its rank key (unit left
+// 0) and its number of PM pages.
+func (d *Daemon) eachCandidate(allowed bool, fn func(k rankKey, pm int)) {
 	rp := d.cfg.RegionPages
 	for obj, sc := range d.scores {
+		if d.Gate.Allows(obj) != allowed {
+			continue
+		}
 		n := obj.NumPages()
-		allowed := d.Gate.Allows(obj)
 		for start := 0; start < n; start += rp {
 			end := min(start+rp, n)
 			pm := 0
@@ -417,26 +433,11 @@ func (d *Daemon) blockedAboveFirstAllowed() uint64 {
 					pmScore += sc[p]
 				}
 			}
-			if pm == 0 || !(pmScore > 0) {
-				continue // not a candidate
-			}
-			k := rankKey{density: pmScore / float64(pm), id: obj.ID, start: start}
-			switch {
-			case found && compareUnits(k, first, true) > 0:
-			case allowed:
-				first, found = k, true
-			default:
-				blocked = append(blocked, blockedUnit{k, pm})
+			if pm > 0 && pmScore > 0 {
+				fn(rankKey{density: pmScore / float64(pm), id: obj.ID, start: start}, pm)
 			}
 		}
 	}
-	var pages uint64
-	for _, b := range blocked {
-		if !found || compareUnits(b.key, first, true) < 0 {
-			pages += uint64(b.pages)
-		}
-	}
-	return pages
 }
 
 // MigrationSpread returns the largest and smallest per-task DRAM-bound

@@ -8,6 +8,7 @@ import (
 	"merchandiser/internal/access"
 	"merchandiser/internal/baseline"
 	"merchandiser/internal/hm"
+	"merchandiser/internal/model"
 	"merchandiser/internal/stats"
 	"merchandiser/internal/task"
 )
@@ -196,5 +197,30 @@ func TestMerchandiserTaskCountMismatch(t *testing.T) {
 	}
 	if err := merch.BeforeInstance(context.Background(), 1, mem, works[:1]); err == nil {
 		t.Fatal("task-count mismatch should error")
+	}
+}
+
+// offlineAlpha must return AlphaOffline's value for every size asked, in
+// any order, repeats included. Sizes off the cache-line grid and below the
+// microbenchmark's cache give values other than 1, so a stale cache
+// entry shows.
+func TestOfflineAlphaMatchesModel(t *testing.T) {
+	for _, p := range []access.Pattern{
+		{Kind: access.Stencil, ElemSize: 8, Points: 5},
+		{Kind: access.Stream, ElemSize: 4},
+		{Kind: access.Strided, ElemSize: 8, StrideBytes: 256},
+	} {
+		op := &objProfile{pattern: p, sizeBase: 1000}
+		distinct := map[float64]bool{}
+		for _, sNew := range []float64{1000, 1300, 1300, 0, 70000, 1000} {
+			got, want := op.offlineAlpha(sNew), model.AlphaOffline(p, op.sizeBase, sNew)
+			if got != want {
+				t.Fatalf("%v at %v bytes: offlineAlpha %v, AlphaOffline %v", p.Kind, sNew, got, want)
+			}
+			distinct[got] = true
+		}
+		if len(distinct) < 2 {
+			t.Fatalf("%v: every size gives α %v; the sizes test nothing", p.Kind, op.alpha)
+		}
 	}
 }

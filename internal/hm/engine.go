@@ -176,7 +176,7 @@ type entryState struct {
 	pa        PhaseAccess
 	remaining float64   // main-memory accesses left
 	total     float64   // main-memory accesses at phase start
-	weights   []float64 // per-page access weights (non-sweep patterns)
+	weights   []float64 // per-page access weights (non-sweep patterns); shared, read only
 	fracDRAM  float64   // fraction of accesses hitting DRAM under current placement
 	sinceTick float64   // accesses done since the last counter flush
 	// sweep marks sequential patterns (stream/strided/stencil): their
@@ -548,7 +548,7 @@ func (e *Engine) advancePhase(st *taskState) error {
 		en := entryState{pa: pa, remaining: main, total: main}
 		en.sweep = pa.Pattern.Kind != access.Random
 		if !en.sweep {
-			en.weights = access.PageWeights(pa.Pattern, pa.Obj.NumPages(), pa.Seed)
+			en.weights = e.Mem.pageWeights(pa.Pattern, pa.Obj.NumPages(), pa.Seed)
 		}
 		e.refreshFrac(&en)
 		st.entries[j] = en

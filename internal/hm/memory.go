@@ -2,7 +2,9 @@ package hm
 
 import (
 	"fmt"
+	"math"
 
+	"merchandiser/internal/access"
 	"merchandiser/internal/merr"
 )
 
@@ -69,6 +71,10 @@ type Memory struct {
 	MigratedToDRAM uint64
 	MigratedToPM   uint64
 	migrationBytes [NumTiers]float64 // pending migration traffic per tier
+
+	// weights memoizes access.PageWeights for random patterns (see
+	// pageWeights).
+	weights map[weightKey][]float64
 
 	// reuseDRAM counts freed DRAM pages available for allocator reuse:
 	// real allocators (memkind, malloc arenas) hand freed virtual ranges
@@ -215,6 +221,32 @@ func (m *Memory) allocSplit(name, owner, tenant string, bytes, pages, dramPages 
 	m.used[PM] += pages - o.dramPages
 	m.objects = append(m.objects, o)
 	return o, nil
+}
+
+// weightKey is what access.PageWeights reads of a random pattern's
+// access: the skew (as bits, so every key equals itself), the page count
+// and the seed.
+type weightKey struct {
+	skew  uint64
+	pages int
+	seed  int64
+}
+
+// pageWeights returns access.PageWeights(p, pages, seed) for a random
+// pattern p, computing it once per key for the Memory's life: every phase
+// of every instance that touches an object of one size with one seed
+// reads the same weights. Callers must not modify the slice.
+func (m *Memory) pageWeights(p access.Pattern, pages int, seed int64) []float64 {
+	k := weightKey{math.Float64bits(p.Skew), pages, seed}
+	w, ok := m.weights[k]
+	if !ok {
+		if m.weights == nil {
+			m.weights = map[weightKey][]float64{}
+		}
+		w = access.PageWeights(p, pages, seed)
+		m.weights[k] = w
+	}
+	return w
 }
 
 // Objects returns the registered objects in allocation order.

@@ -1,9 +1,12 @@
 package hm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"merchandiser/internal/access"
 )
 
 func testSpec() SystemSpec {
@@ -182,5 +185,47 @@ func TestSpecHelpers(t *testing.T) {
 	}
 	if DRAM.String() != "DRAM" || PM.String() != "PM" || TierID(5).String() != "Tier(?)" {
 		t.Fatal("tier names wrong")
+	}
+}
+
+// pageWeights must hand out access.PageWeights' weights, computed once
+// per (skew, page count, seed) and shared while the key repeats.
+func TestPageWeightsMemo(t *testing.T) {
+	m := NewMemory(testSpec())
+	zipf := access.Pattern{Kind: access.Random, ElemSize: 8, Skew: 0.5}
+	uniform := access.Pattern{Kind: access.Random, ElemSize: 8}
+	nan := access.Pattern{Kind: access.Random, ElemSize: 8, Skew: math.NaN()}
+	type call struct {
+		p     access.Pattern
+		pages int
+		seed  int64
+	}
+	calls := []call{
+		{zipf, 100, 3}, {zipf, 100, 3}, {zipf, 101, 3}, {zipf, 100, 4},
+		{uniform, 100, 3}, {zipf, 100, 3}, {nan, 10, 1}, {nan, 10, 1},
+	}
+	first := map[call]*float64{}
+	for _, c := range calls {
+		w := m.pageWeights(c.p, c.pages, c.seed)
+		want := access.PageWeights(c.p, c.pages, c.seed)
+		if len(w) != len(want) {
+			t.Fatalf("%+v: %d weights, want %d", c, len(w), len(want))
+		}
+		for i := range w {
+			if math.Float64bits(w[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%+v: weight %d is %v, PageWeights gives %v", c, i, w[i], want[i])
+			}
+		}
+		key := call{access.Pattern{Skew: c.p.Skew}, c.pages, c.seed}
+		if math.IsNaN(c.p.Skew) {
+			key.p.Skew = -1 // NaN never equals itself as a map key
+		}
+		if p, ok := first[key]; ok && p != &w[0] {
+			t.Fatalf("%+v: weights computed again for a repeated key", c)
+		}
+		first[key] = &w[0]
+	}
+	if len(m.weights) != 5 {
+		t.Fatalf("%d memoized weight sets, want 5 distinct keys", len(m.weights))
 	}
 }

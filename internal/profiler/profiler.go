@@ -143,33 +143,30 @@ func NewThermostat(regionPages int, seed int64) *Thermostat {
 }
 
 // EstimateTier profiles tier (DRAM in the paper) and returns a hotness
-// estimate for every resident page, in object and page order.
+// estimate for every resident page, in object and page order. Its only
+// allocation is the result, sized for every page on the tier.
 func (t *Thermostat) EstimateTier(mem *hm.Memory, tier hm.TierID) []PageEstimate {
-	var out []PageEstimate
+	out := make([]PageEstimate, 0, mem.UsedPages(tier))
 	for _, o := range mem.Objects() {
 		n := o.NumPages()
 		for start := 0; start < n; start += t.RegionPages {
-			end := start + t.RegionPages
-			if end > n {
-				end = n
-			}
-			// Collect the region's pages that live on the profiled tier.
-			var pages []int
+			end := min(start+t.RegionPages, n)
+			// The region's pages that live on the profiled tier go out
+			// first; then one of them, drawn at random, is probed and its
+			// count stands for all of them.
+			lo := len(out)
 			for p := start; p < end; p++ {
 				if o.Loc[p] == tier {
-					pages = append(pages, p)
+					out = append(out, PageEstimate{PageRef: PageRef{Obj: o, Page: p}})
 				}
 			}
-			if len(pages) == 0 {
+			if len(out) == lo {
 				continue
 			}
-			probe := pages[t.rng.Intn(len(pages))]
-			est := o.IntervalAccess[probe]
-			for _, p := range pages {
-				out = append(out, PageEstimate{
-					PageRef:  PageRef{Obj: o, Page: p},
-					Accesses: est,
-				})
+			region := out[lo:]
+			est := o.IntervalAccess[region[t.rng.Intn(len(region))].Page]
+			for i := range region {
+				region[i].Accesses = est
 			}
 		}
 	}

@@ -1,7 +1,10 @@
 package profiler
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -195,5 +198,95 @@ func TestConstructorsClamp(t *testing.T) {
 	}
 	if th := NewThermostat(0, 1); th.RegionPages != 1 {
 		t.Fatal("region should clamp to 1")
+	}
+}
+
+// estimateTierReference is EstimateTier as it was written with a page
+// slice per region and a growing result: the reference for its output
+// and for the random draws it consumes.
+func estimateTierReference(t *Thermostat, mem *hm.Memory, tier hm.TierID) []PageEstimate {
+	var out []PageEstimate
+	for _, o := range mem.Objects() {
+		n := o.NumPages()
+		for start := 0; start < n; start += t.RegionPages {
+			end := start + t.RegionPages
+			if end > n {
+				end = n
+			}
+			var pages []int
+			for p := start; p < end; p++ {
+				if o.Loc[p] == tier {
+					pages = append(pages, p)
+				}
+			}
+			if len(pages) == 0 {
+				continue
+			}
+			probe := pages[t.rng.Intn(len(pages))]
+			est := o.IntervalAccess[probe]
+			for _, p := range pages {
+				out = append(out, PageEstimate{
+					PageRef:  PageRef{Obj: o, Page: p},
+					Accesses: est,
+				})
+			}
+		}
+	}
+	return out
+}
+
+// randomTierMemory allocates objects of assorted sizes with a random
+// subset of their pages in DRAM and random interval counts.
+func randomTierMemory(t *testing.T, seed int64) *hm.Memory {
+	t.Helper()
+	s := hm.DefaultSpec()
+	s.Tiers[hm.DRAM].CapacityBytes = 4 << 20
+	s.Tiers[hm.PM].CapacityBytes = 16 << 20
+	mem := hm.NewMemory(s)
+	rng := rand.New(rand.NewSource(seed))
+	for i, pages := range []int{1, 7, 64, 200, 513} {
+		o, err := mem.Alloc(fmt.Sprintf("o%d", i), "", uint64(pages)*4096, hm.PM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range o.Loc {
+			o.IntervalAccess[p] = float64(rng.Intn(1000))
+			if rng.Intn(3) == 0 {
+				if err := mem.Migrate(o, p, hm.DRAM); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return mem
+}
+
+// EstimateTier must give the reference's estimates and draw the same
+// probes, call after call, on both tiers and at several region sizes.
+func TestThermostatMatchesReference(t *testing.T) {
+	for _, region := range []int{1, 3, 64, 512} {
+		for seed := int64(1); seed <= 3; seed++ {
+			mem := randomTierMemory(t, seed)
+			got, want := NewThermostat(region, seed), NewThermostat(region, seed)
+			for call := 0; call < 4; call++ {
+				tier := hm.TierID(call % 2)
+				g, w := got.EstimateTier(mem, tier), estimateTierReference(want, mem, tier)
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("region %d seed %d call %d: estimates differ from the reference", region, seed, call)
+				}
+			}
+		}
+	}
+}
+
+// EstimateTier allocates its result and nothing else, however many
+// regions it profiles.
+func TestThermostatEstimateTierAllocs(t *testing.T) {
+	mem := randomTierMemory(t, 1)
+	for _, region := range []int{1, 8, 512} {
+		th := NewThermostat(region, 1)
+		if allocs := testing.AllocsPerRun(20, func() { th.EstimateTier(mem, hm.DRAM) }); allocs > 1 {
+			t.Fatalf("region %d pages: %v allocations per call, want at most 1", region, allocs)
+		}
 	}
 }

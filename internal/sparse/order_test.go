@@ -124,7 +124,10 @@ func TestRMATMatchesSortedReference(t *testing.T) {
 }
 
 // An unweighted RMAT skips only the value draws, which come after every
-// edge: its graph must be the weighted one's.
+// edge: its graph must be the weighted one's. Such a structure-only
+// matrix (nil Val) is a valid CSR, and transposing or permuting it gives
+// the weighted results' structure with nil Val. PermuteAndTranspose's
+// transpose must equal Transpose of its permutation, values included.
 func TestRMATUnweightedKeepsTheGraph(t *testing.T) {
 	for _, tc := range orderConfigs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,11 +137,42 @@ func TestRMATUnweightedKeepsTheGraph(t *testing.T) {
 			if got.Val != nil {
 				t.Fatalf("unweighted RMAT drew %d values", len(got.Val))
 			}
-			if got.Rows != want.Rows || got.Cols != want.Cols || !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+			if err := got.Validate(); err != nil {
+				t.Fatalf("unweighted RMAT: %v", err)
+			}
+			if !sameStructure(got, want) {
 				t.Fatal("unweighted RMAT's graph differs from the weighted one's")
+			}
+			const seed = 29
+			for _, pair := range []struct {
+				name       string
+				bare, full *CSR
+			}{
+				{"transpose", Transpose(got), Transpose(want)},
+				{"permute", Permute(got, seed), Permute(want, seed)},
+			} {
+				if err := pair.bare.Validate(); err != nil {
+					t.Fatalf("%s: %v", pair.name, err)
+				}
+				if pair.bare.Val != nil {
+					t.Fatalf("%s of a structure-only matrix has %d values", pair.name, len(pair.bare.Val))
+				}
+				if !sameStructure(pair.bare, pair.full) {
+					t.Fatalf("%s: structure differs from the weighted result's", pair.name)
+				}
+			}
+			for _, in := range []*CSR{got, want} {
+				p, pt := PermuteAndTranspose(in, seed)
+				if !reflect.DeepEqual(p, Permute(in, seed)) || !reflect.DeepEqual(pt, Transpose(p)) {
+					t.Fatalf("PermuteAndTranspose (weighted %v) differs from Permute and Transpose", in.Val != nil)
+				}
 			}
 		})
 	}
+}
+
+func sameStructure(a, b *CSR) bool {
+	return a.Rows == b.Rows && a.Cols == b.Cols && slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.ColIdx, b.ColIdx)
 }
 
 // Permute must give the reference's RowPtr and ColIdx, and every run of

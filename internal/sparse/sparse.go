@@ -33,7 +33,8 @@ func (m *CSR) Bytes() uint64 {
 	return uint64(len(m.RowPtr))*4 + uint64(len(m.ColIdx))*4 + uint64(len(m.Val))*8
 }
 
-// Validate checks structural invariants.
+// Validate checks structural invariants. A nil Val is a structure-only
+// matrix; otherwise there is one value per index.
 func (m *CSR) Validate() error {
 	if len(m.RowPtr) != m.Rows+1 {
 		return fmt.Errorf("sparse: rowptr length %d for %d rows", len(m.RowPtr), m.Rows)
@@ -41,7 +42,7 @@ func (m *CSR) Validate() error {
 	if m.RowPtr[0] != 0 || int(m.RowPtr[m.Rows]) != len(m.ColIdx) {
 		return fmt.Errorf("sparse: rowptr endpoints %d..%d for %d nnz", m.RowPtr[0], m.RowPtr[m.Rows], len(m.ColIdx))
 	}
-	if len(m.Val) != len(m.ColIdx) {
+	if m.Val != nil && len(m.Val) != len(m.ColIdx) {
 		return fmt.Errorf("sparse: %d values for %d indices", len(m.Val), len(m.ColIdx))
 	}
 	for r := 0; r < m.Rows; r++ {
@@ -85,8 +86,11 @@ func (c RMATConfig) withDefaults() RMATConfig {
 
 // RMAT generates an RMAT matrix/graph in CSR form. Duplicate edges are
 // kept (weighted), self-loops allowed — matching common kron inputs.
-// Values are in (0, 1]. A, B and C are quadrant probabilities: they must
+// Values are in [0, 1). A, B and C are quadrant probabilities: they must
 // be non-negative.
+//
+// Draws: every draw is the next rand.New(rand.NewSource(Seed)).Float64(),
+// taken through lagFib as the 63-bit integer Float64 divides by 2^63.
 //
 // Ordering: every edge draws its Scale quadrant bits first; the edges are
 // then counting-sorted by row into RowPtr's segments and each segment is
@@ -102,23 +106,26 @@ func RMAT(cfg RMATConfig) *CSR {
 	if cfg.Edges > 0 {
 		m = cfg.Edges
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	g := newLagFib(cfg.Seed)
+	one := drawThreshold(1)
 
 	// One draw p per bit, most significant first, picks the quadrant:
 	// [0, a) top-left, [a, ab) top-right, [ab, abc) bottom-left, the rest
 	// bottom-right. With non-negative weights the thresholds are ordered,
 	// so the number q of them at or below p is the quadrant's index: its
-	// high bit is the row bit, its low bit the column bit.
+	// high bit is the row bit, its low bit the column bit. p ≥ t exactly
+	// when the draw reaches t's integer threshold.
 	a, ab := cfg.A, cfg.A+cfg.B
 	abc := ab + cfg.C
+	ta, tab, tabc := drawThreshold(a), drawThreshold(ab), drawThreshold(abc)
 	type edge struct{ r, c int32 }
 	edges := make([]edge, m)
 	out := &CSR{Rows: n, Cols: n, RowPtr: make([]int32, n+1)}
 	for i := range edges {
 		var r, c int32
 		for range cfg.Scale {
-			p := rng.Float64()
-			q := atOrBelow(a, p) + atOrBelow(ab, p) + atOrBelow(abc, p)
+			x := g.draw(one)
+			q := atOrAbove(x, ta) + atOrAbove(x, tab) + atOrAbove(x, tabc)
 			r = r<<1 | q>>1
 			c = c<<1 | q&1
 		}
@@ -142,27 +149,21 @@ func RMAT(cfg RMATConfig) *CSR {
 	}
 	out.Val = make([]float64, m)
 	for i := range out.Val {
-		out.Val[i] = rng.Float64()
+		out.Val[i] = unit(g.draw(one))
 	}
 	return out
 }
 
-// atOrBelow is 1 when threshold t ≤ p, else 0; the compiler turns it
-// into a flag move, so a random p costs no mispredicted branch.
-func atOrBelow(t, p float64) int32 {
-	if p >= t {
-		return 1
-	}
-	return 0
-}
-
-// Transpose returns Aᵀ in CSR form (counting sort over columns).
+// Transpose returns Aᵀ in CSR form (a stable counting sort over
+// columns). A structure-only matrix (nil Val) gives one.
 func Transpose(m *CSR) *CSR {
 	out := &CSR{
 		Rows: m.Cols, Cols: m.Rows,
 		RowPtr: make([]int32, m.Cols+1),
 		ColIdx: make([]int32, m.NNZ()),
-		Val:    make([]float64, m.NNZ()),
+	}
+	if m.Val != nil {
+		out.Val = make([]float64, m.NNZ())
 	}
 	for _, c := range m.ColIdx {
 		out.RowPtr[c+1]++
@@ -175,7 +176,9 @@ func Transpose(m *CSR) *CSR {
 		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
 			c := m.ColIdx[p]
 			out.ColIdx[next[c]] = int32(r)
-			out.Val[next[c]] = m.Val[p]
+			if out.Val != nil {
+				out.Val[next[c]] = m.Val[p]
+			}
 			next[c]++
 		}
 	}
@@ -209,13 +212,23 @@ func RowBins(m *CSR, bins int) [][2]int {
 // Permute relabels vertices with a random permutation (rows and columns
 // alike), preserving the graph up to isomorphism. Generated RMAT matrices
 // concentrate hubs at low vertex ids; real-world inputs (GAP-kron,
-// com-Orkut) arrive in arbitrary label order, which this restores.
+// com-Orkut) arrive in arbitrary label order, which this restores. It
+// carries values only when m has them.
 //
 // Ordering: old row r's entries move, columns relabeled, to new row
 // relabel[r]; two transposes (each a stable counting sort over columns)
 // then sort every row by column. Entries sharing a (row, col) keep their
 // input order.
 func Permute(m *CSR, seed int64) *CSR {
+	p, _ := PermuteAndTranspose(m, seed)
+	return p
+}
+
+// PermuteAndTranspose returns Permute(m, seed) and its transpose. The
+// transpose is the first of Permute's two, so it costs nothing extra. It
+// equals Transpose(p), values included: its rows are sorted already, and
+// two stable transposes give a row-sorted matrix back unchanged.
+func PermuteAndTranspose(m *CSR, seed int64) (p, pt *CSR) {
 	rng := rand.New(rand.NewSource(seed))
 	perm := rng.Perm(m.Rows)
 	relabel := make([]int32, m.Rows)
@@ -226,7 +239,9 @@ func Permute(m *CSR, seed int64) *CSR {
 		Rows: m.Rows, Cols: m.Cols,
 		RowPtr: make([]int32, m.Rows+1),
 		ColIdx: make([]int32, m.NNZ()),
-		Val:    make([]float64, m.NNZ()),
+	}
+	if m.Val != nil {
+		x.Val = make([]float64, m.NNZ())
 	}
 	for r := 0; r < m.Rows; r++ {
 		x.RowPtr[relabel[r]+1] = m.RowPtr[r+1] - m.RowPtr[r]
@@ -238,11 +253,14 @@ func Permute(m *CSR, seed int64) *CSR {
 		dst := x.RowPtr[relabel[r]]
 		for p := m.RowPtr[r]; p < m.RowPtr[r+1]; p++ {
 			x.ColIdx[dst] = relabel[m.ColIdx[p]]
-			x.Val[dst] = m.Val[p]
+			if x.Val != nil {
+				x.Val[dst] = m.Val[p]
+			}
 			dst++
 		}
 	}
-	return Transpose(Transpose(x))
+	pt = Transpose(x)
+	return Transpose(pt), pt
 }
 
 // NNZBins partitions rows into bins with roughly equal *non-zero* counts

@@ -7,8 +7,8 @@
 # quota ledger) under the race detector, hold the compiled
 # inference engine to zero allocations per single-point predict and
 # smoke its pointer-vs-compiled benchmarks, the planner benchmarks, the
-# RMAT generator benchmark, the BFS construction benchmark and the
-# migration daemon's tick benchmark,
+# RMAT generator benchmark, the BFS and SpGEMM construction benchmarks
+# and the migration daemon's tick benchmark,
 # smoke the flat-table loader, event-encoder, artifact-decoder and
 # binary-slot-decoder fuzz targets
 # on their seed corpora plus 10s of new inputs each, run the end-to-end
@@ -110,18 +110,18 @@ echo "== allocation gate (compiled single-point predict must not allocate)"
 # allocs/op via testing.AllocsPerRun) and instrumented builds allocate.
 go test -timeout 60s ./internal/ml -run '^TestCompiledPredictZeroAllocs$' -count=1 -v | grep -E '^(=== RUN|--- (PASS|FAIL)|ok)' || exit 1
 
-echo "== bench smoke (pointer vs compiled inference, planners: 100 iterations; RMAT generator, BFS construction, daemon tick: 1 iteration)"
+echo "== bench smoke (pointer vs compiled inference, planners: 100 iterations; RMAT generator, BFS and SpGEMM construction, daemon tick: 1 iteration)"
 # Not a perf gate (CI machines vary) — this just proves the benchmarks
 # run: the pointer-walk reference they compare against lives in the
 # ml test files, the planner benchmarks are the ones README quotes, the
 # RMAT benchmark builds BFS's full-scale graph and one SpGEMM operand
-# once each, the BFS benchmark builds the application at quick and full
-# scale, and the tick benchmark runs Merchandiser's daemon on a full
-# DRAM and MemoryOptimizer's evicting daemon.
+# once each, the BFS and SpGEMM benchmarks build each application at
+# quick and full scale, and the tick benchmark runs Merchandiser's daemon
+# on a full DRAM and MemoryOptimizer's evicting daemon.
 go test -timeout 120s ./internal/ml -run '^$' -bench 'Predict(Pointer|Compiled)' -benchtime 100x
 go test -timeout 120s ./internal/placement -run '^$' -bench 'MinMakespanPlan|GreedyLoadBalanceTrained' -benchtime 100x
 go test -timeout 120s ./internal/sparse -run '^$' -bench RMAT -benchtime 1x
-go test -timeout 120s ./internal/apps -run '^$' -bench NewBFS -benchtime 1x
+go test -timeout 120s ./internal/apps -run '^$' -bench 'NewBFS|NewSpGEMM' -benchtime 1x
 go test -timeout 120s ./internal/baseline -run '^$' -bench DaemonTick -benchtime 1x
 
 echo "== fuzz smoke (FuzzLoadFlat, 10s)"

@@ -12,7 +12,6 @@
 //	merchbench -save sys.artifact        # checkpoint the trained system (binary model sections)
 //	merchbench -load sys.artifact        # serve from a checkpoint, no retraining
 //	merchbench -exp replan -quick        # PhaseShift epoch re-planning study
-//	merchbench -exp cosched -tenants spgemm=1228,bfs=512   # multi-tenant quota study
 //	merchbench -replan drift -exp fig4   # run Merchandiser cells with drift re-planning
 //	merchbench -exp none -quick -save sys.artifact -registry /var/merch -publish v1 -promote   # train, publish, promote
 //	merchbench -exp fig4 -out results/   # relative outputs land under results/
@@ -20,7 +19,9 @@
 //	merchbench -exp fig4 -memprofile mem.pb.gz   # post-run heap profile
 //
 // Experiments: table1 table2 table3 table4 fig3 fig4 fig5 fig6 fig7 alpha
-// ablations.
+// ablations cxl replan, as a comma-separated list. "all" runs every one
+// but cxl and replan, which run only when named; "none" runs nothing
+// (train and -save only). Any other name is an error.
 package main
 
 import (
@@ -32,6 +33,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -47,7 +49,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: table1,table2,table3,table4,fig3,fig4,fig5,fig6,fig7,alpha,ablations,cxl,replan,cosched or 'all' (replan and cosched run only when named)")
+	exp := flag.String("exp", "all", "comma-separated experiments to run: table1,table2,table3,table4,fig3,fig4,fig5,fig6,fig7,alpha,ablations,cxl,replan, 'all' (every one but cxl and replan, which run only when named) or 'none'")
 	quick := flag.Bool("quick", false, "reduced scale (smaller apps and corpus)")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 0, "concurrency of training and evaluation (0 = NumCPU); results are identical for any value")
@@ -61,7 +63,6 @@ func main() {
 	loadPath := flag.String("load", "", "skip training and restore the system from this artifact file")
 	replanMode := flag.String("replan", "", "Merchandiser re-planning mode for every cell: off or drift (default off — byte-identical to plan-once)")
 	replanEpoch := flag.Int("replan-epoch", 0, "epoch length in policy ticks for -replan (0 = default)")
-	tenants := flag.String("tenants", "", "per-tenant DRAM page quotas for -exp cosched as name=pages pairs, e.g. spgemm=1228,bfs=512 (default: a 60/25 split of DRAM)")
 	registryRoot := flag.String("registry", "", "model registry root for -publish/-promote (see cmd/merchserved -registry)")
 	publish := flag.String("publish", "", "with -save and -registry: publish the saved artifact into the registry under this version name")
 	promote := flag.Bool("promote", false, "with -publish: promote the published version to CURRENT (replicas pick it up on SIGHUP or POST /reloadz)")
@@ -69,6 +70,8 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after the run, post-GC) to this file")
 	flag.Parse()
 
+	want, err := parseExperiments(*exp)
+	fail(err)
 	if *savePath != "" && *loadPath != "" {
 		fail(fmt.Errorf("-save and -load are mutually exclusive"))
 	}
@@ -130,8 +133,6 @@ func main() {
 	rmode, err := core.ParseReplanMode(*replanMode)
 	fail(err)
 	cfg.Replan = core.ReplanConfig{Mode: rmode, EpochTicks: *replanEpoch}
-	tenantQuotas, err := parseTenants(*tenants)
-	fail(err)
 
 	if *policies != "" {
 		if *policies == "list" {
@@ -146,16 +147,12 @@ func main() {
 			cfg.Policies = append(cfg.Policies, name)
 		}
 	}
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
 	all := want["all"]
 	w := os.Stdout
 
 	needsArtifacts := all || want["table3"] || want["table4"] || want["fig4"] ||
 		want["fig5"] || want["fig6"] || want["fig7"] || want["alpha"] || want["ablations"] ||
-		want["replan"] || want["cosched"]
+		want["replan"]
 	needsEval := all || want["table4"] || want["fig4"] || want["fig5"] ||
 		want["fig6"] || want["alpha"] || *jsonPath != "" || *metricsPath != "" || *tracePath != ""
 
@@ -290,10 +287,6 @@ func main() {
 		_, err := experiments.ReplanStudy(ctx, w, art, cfg)
 		fail(err)
 	}
-	if want["cosched"] { // not part of 'all' for the same reason
-		_, err := experiments.MultiTenantStudy(ctx, w, art, cfg, tenantQuotas)
-		fail(err)
-	}
 
 	if *metricsPath != "" {
 		f, err := os.Create(*metricsPath)
@@ -352,26 +345,26 @@ func saveArtifacts(path string, art *experiments.Artifacts, cfg experiments.Conf
 	return sys.SaveFile(path)
 }
 
-// parseTenants parses the -tenants spec ("name=pages,name=pages") into a
-// quota map; an empty spec returns nil (the study's default split).
-func parseTenants(spec string) (map[string]uint64, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	out := map[string]uint64{}
-	for _, kv := range strings.Split(spec, ",") {
-		kv = strings.TrimSpace(kv)
-		name, pages, ok := strings.Cut(kv, "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("-tenants: %q is not name=pages", kv)
+// experimentNames are the names -exp accepts.
+var experimentNames = []string{
+	"table1", "table2", "table3", "table4",
+	"fig3", "fig4", "fig5", "fig6", "fig7",
+	"alpha", "ablations", "cxl", "replan", "all", "none",
+}
+
+// parseExperiments splits -exp's comma-separated list into the set of
+// experiments to run, refusing any name merchbench does not know: a
+// misspelt name would otherwise run nothing and exit 0.
+func parseExperiments(spec string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, e := range strings.Split(spec, ",") {
+		e = strings.TrimSpace(e)
+		if !slices.Contains(experimentNames, e) {
+			return nil, fmt.Errorf("-exp: unknown experiment %q (valid: %s)", e, strings.Join(experimentNames, ", "))
 		}
-		var n uint64
-		if _, err := fmt.Sscanf(pages, "%d", &n); err != nil {
-			return nil, fmt.Errorf("-tenants: bad page count in %q: %v", kv, err)
-		}
-		out[name] = n
+		want[e] = true
 	}
-	return out, nil
+	return want, nil
 }
 
 func fail(err error) {

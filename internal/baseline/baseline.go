@@ -21,12 +21,10 @@ package baseline
 import (
 	"cmp"
 	"context"
-	"errors"
 	"slices"
 	"sort"
 
 	"merchandiser/internal/hm"
-	"merchandiser/internal/merr"
 	"merchandiser/internal/placement"
 	"merchandiser/internal/profiler"
 	"merchandiser/internal/task"
@@ -365,11 +363,6 @@ func (d *Daemon) Tick(now float64, mem *hm.Memory, tasks []hm.TaskStatus) {
 				}
 			}
 			if err := mem.Migrate(c.obj, int(p), hm.DRAM); err != nil {
-				if errors.Is(err, merr.ErrQuota) {
-					// Only this candidate's tenant is out of quota;
-					// candidates of other tenants may still have room.
-					break
-				}
 				stop = true
 				break
 			}

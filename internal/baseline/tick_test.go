@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -9,7 +8,6 @@ import (
 	"testing"
 
 	"merchandiser/internal/hm"
-	"merchandiser/internal/merr"
 	"merchandiser/internal/placement"
 )
 
@@ -177,11 +175,6 @@ func referenceTick(d *Daemon, now float64, mem *hm.Memory, tasks []hm.TaskStatus
 				}
 			}
 			if err := mem.Migrate(c.obj, p, hm.DRAM); err != nil {
-				if errors.Is(err, merr.ErrQuota) {
-					// Only this candidate's tenant is out of quota;
-					// candidates of other tenants may still have room.
-					break
-				}
 				stop = true
 				break
 			}

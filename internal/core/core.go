@@ -22,15 +22,12 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"merchandiser/internal/access"
 	"merchandiser/internal/baseline"
 	"merchandiser/internal/hm"
-	"merchandiser/internal/merr"
 	"merchandiser/internal/model"
 	"merchandiser/internal/obs"
 	"merchandiser/internal/placement"
@@ -220,7 +217,7 @@ func (m *Merchandiser) BeforeInstance(ctx context.Context, i int, mem *hm.Memory
 		// offline; the instance itself runs ungated for profiling.
 		return m.initProfiles(ctx, works)
 	}
-	return m.plan(ctx, i, mem, works)
+	return m.plan(i, mem, works)
 }
 
 // initProfiles builds the per-task profile skeletons from the base
@@ -342,7 +339,7 @@ func (m *Merchandiser) measureBlocksGrouped(ctx context.Context, works []hm.Task
 
 // plan runs Equation 1, the §5.2 predictor and Algorithm 1 for instance i
 // and installs the resulting gate.
-func (m *Merchandiser) plan(ctx context.Context, i int, mem *hm.Memory, works []hm.TaskWork) error {
+func (m *Merchandiser) plan(i int, mem *hm.Memory, works []hm.TaskWork) error {
 	if len(m.profiles) != len(works) {
 		return fmt.Errorf("core: instance %d has %d tasks, base had %d", i, len(works), len(m.profiles))
 	}
@@ -416,7 +413,6 @@ func (m *Merchandiser) plan(ctx context.Context, i int, mem *hm.Memory, works []
 		}
 		inputs[ti] = placement.TaskInput{
 			Name:           tw.Name,
-			Tenant:         tenantOf(tw.Name, mem),
 			TPmOnly:        tPm,
 			TDramOnly:      tDram,
 			Events:         tp.events,
@@ -428,14 +424,11 @@ func (m *Merchandiser) plan(ctx context.Context, i int, mem *hm.Memory, works []
 
 	var plan *placement.Plan
 	var err error
+	dc := m.cfg.Spec.CapacityPages(hm.DRAM)
 	if m.cfg.OptimalPlanner {
-		plan, err = placement.MinMakespanPlanConstrained(inputs, m.constraints(mem), m.cfg.Perf, 1e-3)
+		plan, err = placement.MinMakespanPlan(inputs, dc, m.cfg.Perf, 1e-3)
 	} else {
-		acfg := m.cfg.Algorithm
-		if mem.Quotas != nil {
-			acfg.TenantQuota = mem.Quotas.Quotas()
-		}
-		plan, err = placement.GreedyLoadBalance(inputs, m.cfg.Spec.CapacityPages(hm.DRAM), m.cfg.Perf, acfg)
+		plan, err = placement.GreedyLoadBalance(inputs, dc, m.cfg.Perf, m.cfg.Algorithm)
 	}
 	if err != nil {
 		return fmt.Errorf("core: Algorithm 1: %w", err)
@@ -461,7 +454,6 @@ func (m *Merchandiser) plan(ctx context.Context, i int, mem *hm.Memory, works []
 	if m.cfg.Replan.Mode != ReplanOff {
 		m.replan = &replanState{
 			cfg:       m.cfg.Replan.withDefaults(),
-			ctx:       ctx,
 			instance:  i,
 			inputs:    inputs,
 			works:     works,
@@ -622,8 +614,7 @@ func countMoves(mem *hm.Memory, desired map[*hm.Object]uint64) uint64 {
 // realize walks the memory system toward the desired placement: pages
 // above desire are demoted (coldest first by profiled history), then
 // objects are promoted up to desire (hottest first; fresh objects without
-// history get an interleaved spread). A tenant whose quota refuses a
-// promotion skips to the next object; other tenants' grants still apply.
+// history get an interleaved spread).
 func (m *Merchandiser) realize(mem *hm.Memory, desired map[*hm.Object]uint64) {
 	for _, o := range mem.Objects() {
 		want := desired[o]
@@ -649,27 +640,11 @@ func (m *Merchandiser) realize(mem *hm.Memory, desired map[*hm.Object]uint64) {
 			}
 			if o.Loc[p] != hm.DRAM {
 				if err := mem.Migrate(o, p, hm.DRAM); err != nil {
-					if errors.Is(err, merr.ErrQuota) {
-						break // this tenant is capped; others may proceed
-					}
 					return // DRAM full; plan bounded this, but stay safe
 				}
 			}
 		}
 	}
-}
-
-// tenantOf extracts the tenant prefix from a co-scheduled task's name
-// ("tenant/task") when the memory system runs with a quota ledger;
-// single-tenant runs return "".
-func tenantOf(name string, mem *hm.Memory) string {
-	if mem == nil || mem.Quotas == nil {
-		return ""
-	}
-	if i := strings.IndexByte(name, '/'); i > 0 {
-		return name[:i]
-	}
-	return ""
 }
 
 // pagesByHistory orders an object's pages by cumulative profiled accesses

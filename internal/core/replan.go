@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"merchandiser/internal/hm"
@@ -16,8 +15,8 @@ const (
 	// instance runs unchanged to the sync point (the paper's behavior).
 	ReplanOff ReplanMode = iota
 	// ReplanDrift re-plans at an epoch boundary when the observed
-	// makespan projection drifts past DriftThreshold over the plan's
-	// prediction.
+	// makespan projection drifts more than driftThreshold (25%) over the
+	// plan's prediction.
 	ReplanDrift
 )
 
@@ -50,32 +49,19 @@ type ReplanConfig struct {
 	// boundaries count ticks — simulated time, never wall clock — so
 	// they are deterministic across worker counts.
 	EpochTicks int
-	// DriftThreshold is the relative predicted-vs-observed makespan
-	// drift that triggers a re-plan in drift mode (default 0.25 = 25%).
-	DriftThreshold float64
-	// CostFactor scales the migration cost charged against a new plan's
-	// projected win before it is applied (default 1; 0 keeps the charge
-	// at the raw bandwidth model).
-	CostFactor float64
-	// MaxReplans bounds re-plans per instance (default 8).
-	MaxReplans int
 }
+
+const (
+	// driftThreshold is the relative predicted-vs-observed makespan drift
+	// that triggers a re-plan in drift mode.
+	driftThreshold = 0.25
+	// maxReplans bounds re-plans per instance.
+	maxReplans = 8
+)
 
 func (c ReplanConfig) withDefaults() ReplanConfig {
 	if c.EpochTicks <= 0 {
 		c.EpochTicks = 5
-	}
-	if c.DriftThreshold <= 0 {
-		c.DriftThreshold = 0.25
-	}
-	if c.CostFactor < 0 {
-		c.CostFactor = 1
-	}
-	if c.CostFactor == 0 {
-		c.CostFactor = 1
-	}
-	if c.MaxReplans <= 0 {
-		c.MaxReplans = 8
 	}
 	return c
 }
@@ -110,7 +96,6 @@ type EpochReport struct {
 // required), and gated application of residual plans.
 type replanState struct {
 	cfg       ReplanConfig
-	ctx       context.Context
 	instance  int
 	inputs    []placement.TaskInput
 	works     []hm.TaskWork
@@ -118,37 +103,6 @@ type replanState struct {
 	ticks     int
 	epoch     int
 	replans   int
-}
-
-// replanOutcome carries one asynchronous residual-plan computation.
-type replanOutcome struct {
-	plan *placement.Plan
-	err  error
-}
-
-// asyncPlan computes a constrained residual plan on a worker goroutine
-// and returns the response channel. The channel is buffered, so if the
-// caller abandons the wait (context canceled) the worker still finishes
-// its bounded computation, sends without blocking, and exits — nothing
-// leaks past one in-flight plan and nobody holds the engine's ledger.
-func (m *Merchandiser) asyncPlan(inputs []placement.TaskInput, cons placement.Constraints) <-chan replanOutcome {
-	ch := make(chan replanOutcome, 1)
-	go func() {
-		plan, err := placement.MinMakespanPlanConstrained(inputs, cons, m.cfg.Perf, 1e-3)
-		ch <- replanOutcome{plan: plan, err: err}
-	}()
-	return ch
-}
-
-// constraints builds the planner constraints for the current memory
-// system: total DRAM capacity plus per-tenant quotas when a ledger is
-// installed.
-func (m *Merchandiser) constraints(mem *hm.Memory) placement.Constraints {
-	cons := placement.Constraints{CapacityPages: m.cfg.Spec.CapacityPages(hm.DRAM)}
-	if mem != nil && mem.Quotas != nil {
-		cons.TenantQuota = mem.Quotas.Quotas()
-	}
-	return cons
 }
 
 // minProgress is the completed fraction below which a task's projection
@@ -216,26 +170,18 @@ func (m *Merchandiser) replanTick(now float64, mem *hm.Memory, tasks []hm.TaskSt
 		Drift:     drift,
 		Projected: projected,
 	}
-	trigger := r.cfg.Mode == ReplanDrift && drift > r.cfg.DriftThreshold
-	if !trigger || r.replans >= r.cfg.MaxReplans {
+	trigger := r.cfg.Mode == ReplanDrift && drift > driftThreshold
+	if !trigger || r.replans >= maxReplans {
 		m.EpochReports = append(m.EpochReports, report)
 		return
 	}
 
 	// Residual planning: shrink the instance's inputs to the remaining
-	// work, folding the observed slowdown into the time bounds, and ask
-	// the worker for a quota-constrained min-makespan partition of it.
+	// work, folding the observed slowdown into the time bounds, and plan
+	// a min-makespan partition of the full DRAM capacity over it.
 	residual := placement.ResidualInputs(r.inputs, prog)
-	outcome := m.asyncPlan(residual, m.constraints(mem))
-	var out replanOutcome
-	select {
-	case out = <-outcome:
-	case <-r.ctx.Done():
-		// Canceled mid-epoch: do not apply anything; the engine aborts
-		// at its own cancellation point. The worker drains itself.
-		return
-	}
-	if out.err != nil || out.plan == nil {
+	plan, err := placement.MinMakespanPlan(residual, m.cfg.Spec.CapacityPages(hm.DRAM), m.cfg.Perf, 1e-3)
+	if err != nil {
 		m.EpochReports = append(m.EpochReports, report)
 		return
 	}
@@ -243,10 +189,10 @@ func (m *Merchandiser) replanTick(now float64, mem *hm.Memory, tasks []hm.TaskSt
 	// Charge the migration bandwidth the new placement would consume
 	// against its projected win; only apply when the move pays for
 	// itself.
-	desired := computeDesired(mem, r.works, residual, out.plan)
+	desired := computeDesired(mem, r.works, residual, plan)
 	moved := countMoves(mem, desired)
-	cost := placement.MigrationCost(moved, m.cfg.Spec) * r.cfg.CostFactor
-	residMS := out.plan.PredictedMakespan()
+	cost := placement.MigrationCost(moved, m.cfg.Spec)
+	residMS := plan.PredictedMakespan()
 	report.Residual = residMS
 	report.MigrationCost = cost
 	report.MovedPages = moved
@@ -260,19 +206,19 @@ func (m *Merchandiser) replanTick(now float64, mem *hm.Memory, tasks []hm.TaskSt
 		// at the new goal.
 		if m.daemon.Gate != nil {
 			for i, ts := range tasks {
-				if i >= len(out.plan.GoalRatio) {
+				if i >= len(plan.GoalRatio) {
 					break
 				}
 				done := prog[i].Done
-				m.daemon.Gate.GoalRatio[ts.Name] = done*ts.RDRAM + (1-done)*out.plan.GoalRatio[i]
+				m.daemon.Gate.GoalRatio[ts.Name] = done*ts.RDRAM + (1-done)*plan.GoalRatio[i]
 			}
 		}
 		// The residual plan's predictions (from now) become the new
 		// drift baseline: future projections are measured against
 		// now + residual prediction, attributed proportionally.
 		for i := range r.predicted {
-			if i < len(out.plan.Predicted) {
-				r.predicted[i] = now + out.plan.Predicted[i]
+			if i < len(plan.Predicted) {
+				r.predicted[i] = now + plan.Predicted[i]
 			}
 		}
 	}

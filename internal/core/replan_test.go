@@ -116,7 +116,7 @@ func TestReplanDriftWithoutObserver(t *testing.T) {
 }
 
 // TestReplanOffByteIdentical pins the gating contract: a Merchandiser
-// configured with ReplanOff (even with other replan knobs set) produces
+// configured with ReplanOff (even with an epoch length set) produces
 // exactly the result of one with no replan config at all.
 func TestReplanOffByteIdentical(t *testing.T) {
 	plain := New(Config{Spec: testSpec(), Daemon: baseline.DaemonConfig{Seed: 1}, Seed: 1})
@@ -126,7 +126,7 @@ func TestReplanOffByteIdentical(t *testing.T) {
 	}
 	off := New(Config{
 		Spec: testSpec(), Daemon: baseline.DaemonConfig{Seed: 1}, Seed: 1,
-		Replan: ReplanConfig{Mode: ReplanOff, EpochTicks: 3, DriftThreshold: 0.01},
+		Replan: ReplanConfig{Mode: ReplanOff, EpochTicks: 3},
 	})
 	resOff, err := runShift(t, context.Background(), off)
 	if err != nil {
@@ -183,9 +183,9 @@ func TestReplanDriftImprovesShiftedRun(t *testing.T) {
 	}
 }
 
-// cancelOnShiftTick cancels the run's context at the first policy tick
+// cancelOnShiftTick cancels the run's context at the third policy tick
 // of the shifted region — i.e. mid-instance, with the epoch lifecycle
-// active and a re-plan worker potentially in flight.
+// active.
 type cancelOnShiftTick struct {
 	*Merchandiser
 	cancel   context.CancelFunc
@@ -201,7 +201,7 @@ func (c *cancelOnShiftTick) BeforeInstance(ctx context.Context, i int, mem *hm.M
 func (c *cancelOnShiftTick) Tick(now float64, mem *hm.Memory, tasks []hm.TaskStatus) {
 	if c.instance >= 2 {
 		c.ticks++
-		if c.ticks == 3 { // past one epoch boundary (EpochTicks=2), replan likely in flight
+		if c.ticks == 3 { // past one epoch boundary (EpochTicks=2)
 			c.cancel()
 		}
 	}
@@ -209,9 +209,8 @@ func (c *cancelOnShiftTick) Tick(now float64, mem *hm.Memory, tasks []hm.TaskSta
 }
 
 // TestReplanCancellationNoLeak cancels mid-epoch, with re-planning
-// active, and requires (a) the run to unwind with context.Canceled —
-// no deadlock on the engine's ledger — and (b) every goroutine
-// (including an abandoned re-plan worker) to drain afterwards.
+// active, and requires (a) the run to unwind with context.Canceled — no
+// deadlock — and (b) every goroutine to drain afterwards.
 func TestReplanCancellationNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -232,7 +231,7 @@ func TestReplanCancellationNoLeak(t *testing.T) {
 			t.Fatalf("mid-epoch cancel returned %v, want context.Canceled", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("run did not unwind after mid-epoch cancellation (engine or replan worker deadlocked)")
+		t.Fatal("run did not unwind after mid-epoch cancellation (engine deadlocked)")
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {

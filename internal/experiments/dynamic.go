@@ -9,17 +9,14 @@ import (
 
 	"merchandiser/internal/apps"
 	"merchandiser/internal/core"
-	"merchandiser/internal/hm"
 	"merchandiser/internal/policyreg"
 	"merchandiser/internal/task"
 )
 
-// This file holds the epoch-lifecycle evaluation cells, outside the
+// This file holds the epoch-lifecycle evaluation cell, outside the
 // paper's 5-app matrix (AppNames is a published order and stays
 // untouched): the PhaseShift re-planning study — a workload whose task
-// behavior changes mid-run, where the offline plan goes stale — and the
-// multi-tenant co-schedule study, where two applications share one
-// memory system under per-tenant DRAM quotas.
+// behavior changes mid-run, where the offline plan goes stale.
 
 // phaseShiftApp builds the dynamic-phase workload at the configured
 // scale. Unlike the matrix apps this one is cheap at both scales — the
@@ -59,7 +56,7 @@ type ReplanRow struct {
 // replanModes is the study's comparison set: the paper's plan-once
 // behavior against drift-triggered re-planning.
 func replanModes(cfg Config) []core.ReplanConfig {
-	base := cfg.Replan // inherit tuning knobs (epoch length, threshold)
+	base := cfg.Replan // inherit the epoch length
 	rows := make([]core.ReplanConfig, 2)
 	for i, m := range []core.ReplanMode{core.ReplanOff, core.ReplanDrift} {
 		rc := base
@@ -163,148 +160,6 @@ func ReplanStudy(ctx context.Context, w io.Writer, art *Artifacts, cfg Config) (
 		}
 	}
 	if w != nil {
-		fprintf(w, "\n")
-	}
-	return out, nil
-}
-
-// coschedApp builds the multi-tenant workload: the quick-scale SpGEMM
-// and BFS applications co-scheduled as tenants "spgemm" and "bfs" on one
-// memory system. Quick scale is used at both experiment scales — the
-// study exercises quota mechanics, not figure-quality magnitudes.
-func coschedApp(cfg Config) (*apps.CoScheduledApp, error) {
-	seed := cfg.Seed + 10
-	a, err := apps.NewSpGEMM(apps.SpGEMMConfig{Tasks: 6, Scale: 11, EdgeFactor: 8, Instances: 4, Rep: 8, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	b, err := apps.NewBFS(apps.BFSConfig{Tasks: 6, Scale: 14, EdgeFactor: 12, Instances: 4, Rep: 30, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return apps.CoSchedule([]string{"spgemm", "bfs"}, []task.App{a, b})
-}
-
-// DefaultTenantQuotas splits the spec's DRAM capacity between the
-// co-schedule study's tenants: 60% to spgemm, 25% to bfs, the rest
-// unreserved headroom.
-func DefaultTenantQuotas(spec hm.SystemSpec) map[string]uint64 {
-	capPages := spec.CapacityPages(hm.DRAM)
-	return map[string]uint64{
-		"spgemm": capPages * 60 / 100,
-		"bfs":    capPages * 25 / 100,
-	}
-}
-
-// TenantRow is one tenant's quota outcome over a co-scheduled run.
-type TenantRow struct {
-	Tenant     string `json:"tenant"`
-	QuotaPages uint64 `json:"quota_pages"`
-	// MaxUsedPages is the peak DRAM pages charged to the tenant at any
-	// policy tick — never above QuotaPages (the ledger refuses).
-	MaxUsedPages uint64 `json:"max_used_pages"`
-	// EndUsedPages is the charge at run end (before teardown).
-	EndUsedPages uint64 `json:"end_used_pages"`
-}
-
-// tenantProbe wraps a policy to sample the quota ledger at every policy
-// tick, recording each tenant's peak DRAM charge. The probe adds no
-// behavior — placement decisions are the wrapped policy's alone.
-type tenantProbe struct {
-	task.Policy
-	ledger *hm.QuotaLedger
-	peak   map[string]uint64
-}
-
-func (p *tenantProbe) Setup(ctx context.Context, mem *hm.Memory, app task.App) error {
-	p.ledger = mem.Quotas
-	p.peak = map[string]uint64{}
-	return p.Policy.Setup(ctx, mem, app)
-}
-
-func (p *tenantProbe) sample() {
-	if p.ledger == nil {
-		return
-	}
-	for _, t := range p.ledger.Tenants() {
-		if u := p.ledger.Used(t); u > p.peak[t] {
-			p.peak[t] = u
-		}
-	}
-}
-
-func (p *tenantProbe) Tick(now float64, mem *hm.Memory, tasks []hm.TaskStatus) {
-	p.Policy.Tick(now, mem, tasks)
-	p.sample()
-}
-
-func (p *tenantProbe) BeforeInstance(ctx context.Context, i int, mem *hm.Memory, works []hm.TaskWork) error {
-	err := p.Policy.BeforeInstance(ctx, i, mem, works)
-	p.sample() // capture the plan's placement even if the instance is shorter than a tick
-	return err
-}
-
-func (p *tenantProbe) AfterInstance(ctx context.Context, i int, mem *hm.Memory, res *hm.RunResult) error {
-	p.sample()
-	return p.Policy.AfterInstance(ctx, i, mem, res)
-}
-
-// MultiTenantResult is the co-schedule study's outcome.
-type MultiTenantResult struct {
-	App       string      `json:"app"`
-	TotalTime float64     `json:"total_seconds"`
-	Tenants   []TenantRow `json:"tenants"`
-}
-
-// MultiTenantStudy co-schedules two applications as tenants of one
-// memory system under per-tenant DRAM quotas (quotas == nil uses
-// DefaultTenantQuotas) and verifies the ledger held: each tenant's peak
-// DRAM charge stays within its quota, checked at every policy tick and
-// again by the engine's invariant sweep (the run is executed with Debug
-// on, so a quota violation is an error, not a silent report).
-func MultiTenantStudy(ctx context.Context, w io.Writer, art *Artifacts, cfg Config, quotas map[string]uint64) (*MultiTenantResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	app, err := coschedApp(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if quotas == nil {
-		quotas = DefaultTenantQuotas(art.Spec)
-	}
-	pol, err := policyreg.Build("Merchandiser", policyreg.Params{
-		Spec: art.Spec, Perf: art.Perf, Seed: cfg.Seed, Replan: cfg.Replan,
-	})
-	if err != nil {
-		return nil, err
-	}
-	probe := &tenantProbe{Policy: pol}
-	res, err := task.Run(ctx, app, art.Spec, probe, task.Options{
-		StepSec: cfg.step(), IntervalSec: 0.05, Debug: true, DRAMQuotas: quotas,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: co-schedule study: %w", err)
-	}
-	out := &MultiTenantResult{App: app.Name(), TotalTime: res.TotalTime}
-	for _, t := range app.Tenants() {
-		q := quotas[t]
-		row := TenantRow{Tenant: t, QuotaPages: q, MaxUsedPages: probe.peak[t]}
-		if probe.ledger != nil {
-			row.EndUsedPages = probe.ledger.Used(t)
-		}
-		if row.MaxUsedPages > q {
-			return nil, fmt.Errorf("experiments: tenant %s peaked at %d DRAM pages over quota %d", t, row.MaxUsedPages, q)
-		}
-		out.Tenants = append(out.Tenants, row)
-	}
-	if w != nil {
-		fprintf(w, "Multi-tenant study — %s under per-tenant DRAM quotas:\n", out.App)
-		fprintf(w, "  total %.3fs\n", out.TotalTime)
-		for _, t := range out.Tenants {
-			fprintf(w, "  tenant %-8s quota %5d pages, peak %5d, end %5d\n",
-				t.Tenant, t.QuotaPages, t.MaxUsedPages, t.EndUsedPages)
-		}
 		fprintf(w, "\n")
 	}
 	return out, nil

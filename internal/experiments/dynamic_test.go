@@ -86,46 +86,3 @@ func TestReplanStudyGolden(t *testing.T) {
 		t.Errorf("replan study drift (re-run with -update if intentional):\n%s", d)
 	}
 }
-
-// TestMultiTenantStudyHoldsQuotas runs the co-schedule study under the
-// default quota split and checks the ledger did real work: at least one
-// tenant saturated DRAM demand, and nobody exceeded its budget (the
-// study itself errors on violation; the engine's Debug invariant sweep
-// cross-checks the page table against the ledger every tick).
-func TestMultiTenantStudyHoldsQuotas(t *testing.T) {
-	res, err := MultiTenantStudy(context.Background(), nil, dynArt(), dynCfg(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tenants) != 2 {
-		t.Fatalf("want 2 tenants, got %+v", res.Tenants)
-	}
-	anyUsed := false
-	for _, row := range res.Tenants {
-		if row.MaxUsedPages > row.QuotaPages {
-			t.Fatalf("tenant %s peaked over quota: %+v", row.Tenant, row)
-		}
-		if row.MaxUsedPages > 0 {
-			anyUsed = true
-		}
-	}
-	if !anyUsed {
-		t.Fatal("no tenant ever held DRAM — the study exercised nothing")
-	}
-}
-
-// TestMultiTenantZeroQuotaRuns pins the degradation contract end to end:
-// a tenant whose DRAM budget is zero still runs to completion — all its
-// placements degrade to PM — rather than erroring out of the run.
-func TestMultiTenantZeroQuotaRuns(t *testing.T) {
-	quotas := map[string]uint64{"spgemm": 1024, "bfs": 0}
-	res, err := MultiTenantStudy(context.Background(), nil, dynArt(), dynCfg(), quotas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range res.Tenants {
-		if row.Tenant == "bfs" && row.MaxUsedPages != 0 {
-			t.Fatalf("zero-quota tenant held %d DRAM pages", row.MaxUsedPages)
-		}
-	}
-}

@@ -114,21 +114,6 @@ type BWSample struct {
 	MigGBs [NumTiers]float64 // migration-only portion
 }
 
-// EpochProgress is a deterministic progress snapshot recorded every
-// Engine.EpochTicks policy ticks (plus one final snapshot at run end).
-// Every field derives from simulated time and counters — never wall
-// clock — so snapshots are byte-identical across worker counts.
-type EpochProgress struct {
-	Index int     // epoch number, starting at 0
-	Time  float64 // simulated seconds at the epoch boundary
-	// Done is each task's completed fraction of its planned main-memory
-	// accesses, in task order (1 for finished tasks).
-	Done []float64
-	// Occupancy is pages in use per tier at the boundary, before the
-	// policy's tick ran.
-	Occupancy [NumTiers]uint64
-}
-
 // RunResult is the outcome of one engine run (one task-group instance
 // between global synchronizations).
 type RunResult struct {
@@ -136,9 +121,6 @@ type RunResult struct {
 	Makespan  float64   // max task time = time at the sync point
 	Counters  []TaskCounters
 	Bandwidth []BWSample
-	// Epochs holds per-epoch progress snapshots; empty unless
-	// Engine.EpochTicks > 0.
-	Epochs []EpochProgress
 }
 
 // Engine executes a group of tasks concurrently over a Memory, sharing
@@ -158,10 +140,6 @@ type Engine struct {
 	MemoryMode bool
 	// MaxSteps guards against runaway simulations (default 50M).
 	MaxSteps int
-	// EpochTicks, when > 0, records an EpochProgress snapshot into the
-	// RunResult every EpochTicks policy ticks (tick-count based, so epoch
-	// boundaries are deterministic). 0 disables epoch recording.
-	EpochTicks int
 	// Debug enables per-tick invariant checking.
 	Debug bool
 	// Obs, when non-nil, receives the engine's run metrics (per-tier bytes
@@ -291,7 +269,6 @@ func (e *Engine) Run(ctx context.Context, tasks []TaskWork) (*RunResult, error) 
 
 	now := 0.0
 	nextTick := interval
-	tickCount := 0
 	var tickBytes, tickMigBytes [NumTiers]float64
 	running := 0
 	for _, st := range states {
@@ -452,10 +429,6 @@ func (e *Engine) Run(ctx context.Context, tasks []TaskWork) (*RunResult, error) 
 			}
 			obsTicks.Inc()
 			res.Bandwidth = append(res.Bandwidth, s)
-			tickCount++
-			if e.EpochTicks > 0 && (tickCount%e.EpochTicks == 0 || running == 0) {
-				res.Epochs = append(res.Epochs, e.epochSnapshot(len(res.Epochs), now, states))
-			}
 
 			// The cancellation point: checked once per policy tick, so a
 			// canceled context aborts the run within one interval.
@@ -834,35 +807,6 @@ func (e *Engine) flushEntryCounters(st *taskState) {
 		}
 		en.sinceTick = 0
 	}
-}
-
-// epochSnapshot captures per-task progress and tier occupancy at an
-// epoch boundary.
-func (e *Engine) epochSnapshot(idx int, now float64, states []*taskState) EpochProgress {
-	ep := EpochProgress{Index: idx, Time: now, Done: make([]float64, len(states))}
-	for i, st := range states {
-		ep.Done[i] = taskDoneFraction(st)
-	}
-	for t := TierID(0); t < NumTiers; t++ {
-		ep.Occupancy[t] = e.Mem.UsedPages(t)
-	}
-	return ep
-}
-
-// taskDoneFraction is the task's completed fraction of its planned
-// main-memory accesses, clamped to [0, 1].
-func taskDoneFraction(st *taskState) float64 {
-	if st.finished {
-		return 1
-	}
-	if st.planned <= 0 {
-		return 0
-	}
-	f := st.counters.MainAccesses / st.planned
-	if f > 1 {
-		f = 1
-	}
-	return f
 }
 
 // taskStatuses builds the policy-facing snapshot.

@@ -14,11 +14,7 @@ type Object struct {
 	ID    int
 	Name  string
 	Owner string // owning task, "" if shared across tasks
-	// Tenant names the co-scheduled application the object belongs to
-	// ("" outside multi-tenant runs). DRAM placements of tenant-tagged
-	// objects are charged against the tenant's quota ledger.
-	Tenant string
-	Bytes  uint64
+	Bytes uint64
 
 	// Loc holds the tier of each page.
 	Loc []TierID
@@ -55,18 +51,6 @@ type Memory struct {
 	objects []*Object
 	used    [NumTiers]uint64 // pages in use per tier
 
-	// DefaultTenant tags every subsequent Alloc with a tenant name and
-	// prefixes object/owner names with "tenant/" so co-scheduled apps
-	// sharing one memory system cannot collide. The co-scheduling
-	// combinator flips it around each sub-app's calls; "" (the default)
-	// leaves allocation behavior untouched.
-	DefaultTenant string
-
-	// Quotas, when non-nil, caps each tenant's DRAM pages. Allocations
-	// degrade to PM when a quota is exhausted; migrations to DRAM are
-	// refused with merr.ErrQuota. Nil means no quota accounting at all.
-	Quotas *QuotaLedger
-
 	// MigratedPages counts pages moved since construction, per direction.
 	MigratedToDRAM uint64
 	MigratedToPM   uint64
@@ -92,40 +76,13 @@ func NewMemory(spec SystemSpec) *Memory {
 
 // Alloc registers a data object of the given size with all pages placed on
 // tier t. It fails if the tier lacks capacity. Owner names the task the
-// object belongs to ("" for shared objects). When a DefaultTenant is set,
-// the object is tagged with it and its name/owner are prefixed with
-// "tenant/"; a DRAM allocation that exceeds the tenant's quota degrades
-// the uncovered pages to PM instead of erroring.
+// object belongs to ("" for shared objects).
 func (m *Memory) Alloc(name, owner string, bytes uint64, t TierID) (*Object, error) {
 	if bytes == 0 {
 		return nil, fmt.Errorf("hm: object %q has zero size", name)
 	}
-	tenant := m.DefaultTenant
-	if tenant != "" {
-		name = tenant + "/" + name
-		if owner != "" {
-			owner = tenant + "/" + owner
-		}
-	}
 	pages := (bytes + m.Spec.PageSize - 1) / m.Spec.PageSize
-
-	if t == DRAM && m.Quotas != nil {
-		if grant := m.Quotas.chargeUpTo(tenant, pages); grant < pages {
-			// Quota-degraded allocation: the granted share lands in DRAM
-			// (interleaved, like allocator reuse), the rest on PM. A
-			// zero-quota tenant gets a pure-PM object — no error.
-			o, err := m.allocSplit(name, owner, tenant, bytes, pages, grant)
-			if err != nil {
-				m.Quotas.credit(tenant, grant)
-			}
-			return o, err
-		}
-	}
-
 	if m.used[t]+pages > m.Spec.CapacityPages(t) {
-		if t == DRAM && m.Quotas != nil {
-			m.Quotas.credit(tenant, pages)
-		}
 		return nil, merr.Errorf(merr.ErrCapacity, "hm: tier %v full: need %d pages, %d of %d used",
 			t, pages, m.used[t], m.Spec.CapacityPages(t))
 	}
@@ -133,7 +90,6 @@ func (m *Memory) Alloc(name, owner string, bytes uint64, t TierID) (*Object, err
 		ID:             len(m.objects),
 		Name:           name,
 		Owner:          owner,
-		Tenant:         tenant,
 		Bytes:          bytes,
 		Loc:            make([]TierID, pages),
 		PageAccess:     make([]float64, pages),
@@ -151,10 +107,7 @@ func (m *Memory) Alloc(name, owner string, bytes uint64, t TierID) (*Object, err
 		if take > pages {
 			take = pages
 		}
-		if m.Quotas != nil {
-			take = m.Quotas.chargeUpTo(tenant, take)
-		}
-		if take > 0 && m.used[DRAM]+take <= m.Spec.CapacityPages(DRAM) {
+		if m.used[DRAM]+take <= m.Spec.CapacityPages(DRAM) {
 			stride := float64(pages) / float64(take)
 			for k := uint64(0); k < take; k++ {
 				p := int(float64(k) * stride)
@@ -164,61 +117,12 @@ func (m *Memory) Alloc(name, owner string, bytes uint64, t TierID) (*Object, err
 				o.Loc[p] = DRAM
 				o.dramPages++
 			}
-			if m.Quotas != nil && take > o.dramPages {
-				m.Quotas.credit(tenant, take-o.dramPages)
-			}
 			m.reuseDRAM -= o.dramPages
 			m.used[DRAM] += o.dramPages
 			pages -= o.dramPages
-		} else if m.Quotas != nil {
-			m.Quotas.credit(tenant, take)
 		}
 	}
 	m.used[t] += pages
-	m.objects = append(m.objects, o)
-	return o, nil
-}
-
-// allocSplit registers a DRAM-requested object whose quota grant covers
-// only dramPages of its pages: those land in DRAM, interleaved through
-// the object the way allocator reuse would place them, and the remainder
-// goes to PM. The caller has already charged dramPages to the tenant.
-func (m *Memory) allocSplit(name, owner, tenant string, bytes, pages, dramPages uint64) (*Object, error) {
-	if m.used[DRAM]+dramPages > m.Spec.CapacityPages(DRAM) ||
-		m.used[PM]+(pages-dramPages) > m.Spec.CapacityPages(PM) {
-		return nil, merr.Errorf(merr.ErrCapacity, "hm: cannot place %q: %d DRAM + %d PM pages over capacity",
-			name, dramPages, pages-dramPages)
-	}
-	o := &Object{
-		ID:             len(m.objects),
-		Name:           name,
-		Owner:          owner,
-		Tenant:         tenant,
-		Bytes:          bytes,
-		Loc:            make([]TierID, pages),
-		PageAccess:     make([]float64, pages),
-		IntervalAccess: make([]float64, pages),
-	}
-	for i := range o.Loc {
-		o.Loc[i] = PM
-	}
-	if dramPages > 0 {
-		stride := float64(pages) / float64(dramPages)
-		for k := uint64(0); k < dramPages; k++ {
-			p := int(float64(k) * stride)
-			if o.Loc[p] == DRAM {
-				continue
-			}
-			o.Loc[p] = DRAM
-			o.dramPages++
-		}
-	}
-	if o.dramPages < dramPages {
-		// Stride rounding collapsed some slots; return the unused grant.
-		m.Quotas.credit(tenant, dramPages-o.dramPages)
-	}
-	m.used[DRAM] += o.dramPages
-	m.used[PM] += pages - o.dramPages
 	m.objects = append(m.objects, o)
 	return o, nil
 }
@@ -274,9 +178,6 @@ func (m *Memory) Migrate(o *Object, pageIdx int, to TierID) error {
 	if m.used[to] >= m.Spec.CapacityPages(to) {
 		return merr.Errorf(merr.ErrCapacity, "hm: tier %v full, cannot migrate page of %q", to, o.Name)
 	}
-	if to == DRAM && m.Quotas != nil && !m.Quotas.charge(o.Tenant, 1) {
-		return merr.Errorf(merr.ErrQuota, "hm: tenant %q DRAM quota exhausted, cannot migrate page of %q", o.Tenant, o.Name)
-	}
 	o.Loc[pageIdx] = to
 	m.used[from]--
 	m.used[to]++
@@ -286,9 +187,6 @@ func (m *Memory) Migrate(o *Object, pageIdx int, to TierID) error {
 	} else {
 		o.dramPages--
 		m.MigratedToPM++
-		if m.Quotas != nil {
-			m.Quotas.credit(o.Tenant, 1)
-		}
 	}
 	pb := float64(m.Spec.PageSize)
 	m.migrationBytes[from] += pb
@@ -312,9 +210,6 @@ func (m *Memory) Free(o *Object) error {
 			m.reuseDRAM++
 		}
 	}
-	if m.Quotas != nil && o.dramPages > 0 {
-		m.Quotas.credit(o.Tenant, o.dramPages)
-	}
 	o.Loc = nil
 	o.PageAccess = nil
 	o.IntervalAccess = nil
@@ -336,7 +231,6 @@ func (m *Memory) ResetIntervalCounters() {
 // engine's debug mode call it.
 func (m *Memory) CheckInvariants() error {
 	var used [NumTiers]uint64
-	tenantDRAM := map[string]uint64{}
 	for _, o := range m.objects {
 		var dram uint64
 		for _, t := range o.Loc {
@@ -350,21 +244,6 @@ func (m *Memory) CheckInvariants() error {
 		}
 		if dram != o.dramPages {
 			return fmt.Errorf("hm: object %q dram page cache %d != actual %d", o.Name, o.dramPages, dram)
-		}
-		if o.Tenant != "" {
-			tenantDRAM[o.Tenant] += dram
-		}
-	}
-	if m.Quotas != nil {
-		for tenant, cap := range m.Quotas.Quotas() {
-			if have := tenantDRAM[tenant]; have > cap {
-				return fmt.Errorf("hm: tenant %q holds %d DRAM pages over its quota of %d", tenant, have, cap)
-			}
-			// Live pages can undercut the ledger (the ledger also covers
-			// in-flight grants), but must never exceed what was charged.
-			if charged := m.Quotas.Used(tenant); tenantDRAM[tenant] > charged {
-				return fmt.Errorf("hm: tenant %q holds %d DRAM pages but only %d charged", tenant, tenantDRAM[tenant], charged)
-			}
 		}
 	}
 	for t := TierID(0); t < NumTiers; t++ {

@@ -1,12 +1,15 @@
 package hm
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"merchandiser/internal/access"
+	"merchandiser/internal/merr"
 )
 
 func testSpec() SystemSpec {
@@ -133,6 +136,55 @@ func TestInvariantsUnderRandomMigrationsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllocMigrateFreePropertyKeepsInvariants drives a randomized alloc
+// (on DRAM or PM) / migrate / free workload, so allocator reuse of freed
+// DRAM pages is exercised too, and checks the page-table and occupancy
+// invariants after every step. A full tier is the only tolerated error.
+func TestAllocMigrateFreePropertyKeepsInvariants(t *testing.T) {
+	spec := DefaultSpec()
+	spec.Tiers[DRAM].CapacityBytes = 64 * 4096
+	spec.Tiers[PM].CapacityBytes = 1024 * 4096
+	spec.LLCBytes = 16 << 10
+
+	rng := rand.New(rand.NewSource(7))
+	m := NewMemory(spec)
+	var live []*Object
+	for step := 0; step < 2000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4: // alloc, randomly on DRAM or PM
+			tier := TierID(rng.Intn(int(NumTiers)))
+			pages := uint64(1 + rng.Intn(12))
+			o, err := m.Alloc(fmt.Sprintf("o%d", step), "t", pages*spec.PageSize, tier)
+			if err != nil {
+				if !errors.Is(err, merr.ErrCapacity) {
+					t.Fatalf("step %d: alloc: %v", step, err)
+				}
+				break
+			}
+			live = append(live, o)
+		case op < 7 && len(live) > 0: // migrate one page either way
+			o := live[rng.Intn(len(live))]
+			p := rng.Intn(o.NumPages())
+			to := DRAM
+			if o.Loc[p] == DRAM {
+				to = PM
+			}
+			if err := m.Migrate(o, p, to); err != nil && !errors.Is(err, merr.ErrCapacity) {
+				t.Fatalf("step %d: migrate: %v", step, err)
+			}
+		case len(live) > 0: // free
+			i := rng.Intn(len(live))
+			if err := m.Free(live[i]); err != nil {
+				t.Fatalf("step %d: free: %v", step, err)
+			}
+			live = append(live[:i], live[i+1:]...)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 	}
 }
 

@@ -43,10 +43,6 @@ var (
 	// ErrNotReady marks a serving component asked to do work before its
 	// artifact (trained system) has been loaded.
 	ErrNotReady = errors.New("merchandiser: not ready")
-	// ErrQuota marks a DRAM placement refused by a tenant's quota rather
-	// than by the tier's physical capacity. Callers that treat a full tier
-	// as "stop migrating" can treat a quota refusal as "skip this tenant".
-	ErrQuota = errors.New("merchandiser: tenant DRAM quota exhausted")
 )
 
 // Error is a classified error: a taxonomy kind, the human-readable

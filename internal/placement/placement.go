@@ -27,10 +27,6 @@ import (
 // TaskInput is one task's model inputs for Algorithm 1.
 type TaskInput struct {
 	Name string
-	// Tenant names the co-scheduled application the task belongs to ("" in
-	// single-tenant runs). Planners respect per-tenant DRAM quotas via
-	// Constraints.TenantQuota / Config.TenantQuota.
-	Tenant string
 	// TPmOnly is D_i, the predicted PM-only execution time of the task
 	// with the upcoming input.
 	TPmOnly float64
@@ -100,10 +96,6 @@ type Config struct {
 	// ratio deltas, memoized-prediction hit rates and the predicted
 	// makespan. Deterministic for identical inputs.
 	Obs *obs.Registry
-	// TenantQuota caps the summed page grants of each tenant's tasks;
-	// tenants absent from the map are unconstrained. Nil (the default)
-	// disables quota clamping entirely.
-	TenantQuota map[string]uint64
 }
 
 func (c Config) withDefaults() Config {
@@ -165,20 +157,6 @@ func density(o ObjectLoad) float64 {
 		return 0
 	}
 	return o.Accesses / float64(o.Pages)
-}
-
-// accessesForPages inverts mapToPages' uniform mapping: the DRAM access
-// goal a given page budget supports (Algorithm 1's Line 18 read
-// backwards, as the capacity clamp already does).
-func accessesForPages(t TaskInput, pages uint64) float64 {
-	if t.FootprintPages == 0 || t.TotalAccesses <= 0 {
-		return 0
-	}
-	frac := float64(pages) / float64(t.FootprintPages)
-	if frac > 1 {
-		frac = 1
-	}
-	return frac * t.TotalAccesses
 }
 
 // predictMemo caches performance-model predictions for one plan
@@ -392,12 +370,6 @@ func GreedyLoadBalance(tasks []TaskInput, dc uint64, perf *model.PerfModel, cfg 
 
 	// full marks tasks whose DRAM access goal reached 100%.
 	full := make([]bool, n)
-	// tenantUsed tracks per-tenant page sums when quotas are configured
-	// (nil otherwise — the quota-free path is untouched).
-	var tenantUsed map[string]uint64
-	if len(cfg.TenantQuota) > 0 {
-		tenantUsed = map[string]uint64{}
-	}
 	for round := 0; round < cfg.MaxRounds; round++ {
 		// Line 10: pick the longest predicted task that can still grow.
 		longest := -1
@@ -445,32 +417,6 @@ func GreedyLoadBalance(tasks []TaskInput, dc uint64, perf *model.PerfModel, cfg 
 		newPages := mapToPages(t, dramAcc)
 		oldPages := plan.DRAMPages[longest]
 		others := used - oldPages
-
-		// Per-tenant quota clamp: a task whose tenant's budget is exhausted
-		// is treated as fully granted (it stops growing), but other tenants'
-		// tasks keep competing — unlike the capacity clamp below, which
-		// ends the whole algorithm.
-		if tenantUsed != nil {
-			if q, ok := cfg.TenantQuota[t.Tenant]; ok {
-				tOthers := tenantUsed[t.Tenant] - oldPages
-				if tOthers+newPages > q {
-					fit := uint64(0)
-					if q > tOthers {
-						fit = q - tOthers
-					}
-					if fit < oldPages {
-						fit = oldPages
-					}
-					newPages = fit
-					dramAcc = accessesForPages(t, newPages)
-					if dramAcc < prevAcc {
-						dramAcc = prevAcc
-					}
-					plan.Predicted[longest] = predict(longest, dramAcc)
-					full[longest] = true
-				}
-			}
-		}
 		if others+newPages > dc {
 			fit := uint64(0)
 			if dc > others {
@@ -497,9 +443,6 @@ func GreedyLoadBalance(tasks []TaskInput, dc uint64, perf *model.PerfModel, cfg 
 		plan.DRAMAccesses[longest] = dramAcc
 		plan.DRAMPages[longest] = newPages
 		used = others + newPages
-		if tenantUsed != nil {
-			tenantUsed[t.Tenant] = tenantUsed[t.Tenant] - oldPages + newPages
-		}
 		plan.Rounds = round + 1
 		if t.TotalAccesses > 0 {
 			ratioDelta.Observe((dramAcc - prevAcc) / t.TotalAccesses)
@@ -583,17 +526,6 @@ func (g *Gate) Allows(obj *hm.Object) bool {
 	return g.underGoal(obj.Owner)
 }
 
-// Constraints bounds a plan: the total DRAM capacity plus optional
-// per-tenant page quotas for multi-tenant co-scheduling.
-type Constraints struct {
-	// CapacityPages is the DRAM capacity dc available to the plan.
-	CapacityPages uint64
-	// TenantQuota caps the summed page grants of each tenant's tasks;
-	// tenants absent from the map are unconstrained. Nil disables the
-	// per-tenant checks entirely (the single-tenant fast path).
-	TenantQuota map[string]uint64
-}
-
 // MinMakespanPlan computes a near-optimal partition by binary search over
 // the achievable makespan: for a candidate time T, each task's minimum
 // DRAM grant to get its prediction under T is found by monotone bisection
@@ -602,17 +534,6 @@ type Constraints struct {
 // and greedy heuristic" as its key algorithms; this is the
 // exact-within-tolerance counterpart used to audit Algorithm 1's gap.
 func MinMakespanPlan(tasks []TaskInput, dc uint64, perf *model.PerfModel, tol float64) (*Plan, error) {
-	return MinMakespanPlanConstrained(tasks, Constraints{CapacityPages: dc}, perf, tol)
-}
-
-// MinMakespanPlanConstrained is MinMakespanPlan under explicit
-// Constraints: a candidate makespan is feasible only if the minimum
-// grants fit the total capacity AND every tenant's summed grant fits its
-// quota. Raising T only shrinks grants, so feasibility stays monotone and
-// the same bisection applies. With no quotas configured the result is
-// identical to MinMakespanPlan.
-func MinMakespanPlanConstrained(tasks []TaskInput, cons Constraints, perf *model.PerfModel, tol float64) (*Plan, error) {
-	dc := cons.CapacityPages
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("placement: no tasks")
 	}
@@ -661,28 +582,15 @@ func MinMakespanPlanConstrained(tasks []TaskInput, cons Constraints, perf *model
 	feasible := func(T float64) ([]float64, bool) {
 		ratios := make([]float64, len(tasks))
 		var total uint64
-		var perTenant map[string]uint64
-		if len(cons.TenantQuota) > 0 {
-			perTenant = make(map[string]uint64, len(cons.TenantQuota))
-		}
 		for i := range tasks {
 			r, ok := minRatioFor(i, T)
 			if !ok {
 				return nil, false
 			}
 			ratios[i] = r
-			p := pagesFor(i, r)
-			total += p
+			total += pagesFor(i, r)
 			if total > dc {
 				return nil, false
-			}
-			if perTenant != nil {
-				if q, has := cons.TenantQuota[tasks[i].Tenant]; has {
-					perTenant[tasks[i].Tenant] += p
-					if perTenant[tasks[i].Tenant] > q {
-						return nil, false
-					}
-				}
 			}
 		}
 		return ratios, true

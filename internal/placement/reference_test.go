@@ -157,11 +157,10 @@ func planDiff(got, want *Plan) string {
 	return ""
 }
 
-// referenceMinMakespan is MinMakespanPlanConstrained as it was before
-// the per-plan memo: it calls perf.Predict on every probe. It is the
-// oracle for the memoized planner, whose plans must be unchanged.
-func referenceMinMakespan(tasks []TaskInput, cons Constraints, perf *model.PerfModel, tol float64) *Plan {
-	dc := cons.CapacityPages
+// referenceMinMakespan is MinMakespanPlan as it was before the per-plan
+// memo: it calls perf.Predict on every probe. It is the oracle for the
+// memoized planner, whose plans must be unchanged.
+func referenceMinMakespan(tasks []TaskInput, dc uint64, perf *model.PerfModel, tol float64) *Plan {
 	if tol <= 0 {
 		tol = 1e-3
 	}
@@ -193,28 +192,15 @@ func referenceMinMakespan(tasks []TaskInput, cons Constraints, perf *model.PerfM
 	feasible := func(T float64) ([]float64, bool) {
 		ratios := make([]float64, len(tasks))
 		var total uint64
-		var perTenant map[string]uint64
-		if len(cons.TenantQuota) > 0 {
-			perTenant = make(map[string]uint64, len(cons.TenantQuota))
-		}
 		for i := range tasks {
 			r, ok := minRatioFor(i, T)
 			if !ok {
 				return nil, false
 			}
 			ratios[i] = r
-			p := pagesFor(i, r)
-			total += p
+			total += pagesFor(i, r)
 			if total > dc {
 				return nil, false
-			}
-			if perTenant != nil {
-				if q, has := cons.TenantQuota[tasks[i].Tenant]; has {
-					perTenant[tasks[i].Tenant] += p
-					if perTenant[tasks[i].Tenant] > q {
-						return nil, false
-					}
-				}
 			}
 		}
 		return ratios, true
@@ -255,43 +241,24 @@ func referenceMinMakespan(tasks []TaskInput, cons Constraints, perf *model.PerfM
 	return plan
 }
 
-// withTenants spreads tasks over three tenants and caps two of them at a
-// random share of their footprint; the third is unconstrained.
-func withTenants(rng *rand.Rand, tasks []TaskInput) map[string]uint64 {
-	names := []string{"x", "y", "z"}
-	foot := map[string]uint64{}
-	for i := range tasks {
-		tasks[i].Tenant = names[rng.Intn(len(names))]
-		foot[tasks[i].Tenant] += tasks[i].FootprintPages
-	}
-	return map[string]uint64{
-		"x": uint64(rng.Float64() * float64(foot["x"])),
-		"y": uint64(rng.Float64() * float64(foot["y"])),
-	}
-}
-
 // TestMinMakespanMatchesReferenceImplementation pins the memoized
-// bisection planner to the memo-free original on random instances, with
-// and without tenant quotas, for every model family: the interval memo
-// of tree ensembles (fitted and restored) and the exact-bits memo of the
-// rest must both leave every plan field unchanged.
+// bisection planner to the memo-free original on random instances, for
+// every model family: the interval memo of tree ensembles (fitted and
+// restored) and the exact-bits memo of the rest must both leave every
+// plan field unchanged.
 func TestMinMakespanMatchesReferenceImplementation(t *testing.T) {
 	for _, m := range refModels(t) {
 		rng := rand.New(rand.NewSource(43))
 		for trial := 0; trial < 40; trial++ {
 			tasks, dc := randomInstance(rng, m.events)
-			cons := Constraints{CapacityPages: dc}
-			if trial%2 == 1 {
-				cons.TenantQuota = withTenants(rng, tasks)
-			}
 			tol := []float64{1e-3, 1e-2}[trial%4/2]
-			got, err := MinMakespanPlanConstrained(tasks, cons, m.perf, tol)
+			got, err := MinMakespanPlan(tasks, dc, m.perf, tol)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := referenceMinMakespan(tasks, cons, m.perf, tol)
+			want := referenceMinMakespan(tasks, dc, m.perf, tol)
 			if d := planDiff(got, want); d != "" {
-				t.Fatalf("%s trial %d (n=%d dc=%d quotas=%v): %s", m.name, trial, len(tasks), dc, cons.TenantQuota, d)
+				t.Fatalf("%s trial %d (n=%d dc=%d): %s", m.name, trial, len(tasks), dc, d)
 			}
 		}
 	}

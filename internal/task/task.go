@@ -72,14 +72,6 @@ type Options struct {
 	// Everything recorded is deterministic for a fixed seed; nil disables
 	// observability at no allocation cost.
 	Observer *obs.Registry
-	// DRAMQuotas, when non-nil, installs a quota ledger capping each
-	// tenant's DRAM pages (multi-tenant co-scheduling). Tenants absent
-	// from the map are unconstrained.
-	DRAMQuotas map[string]uint64
-	// EpochTicks, when > 0, makes the engine record per-epoch progress
-	// snapshots (every EpochTicks policy ticks) into each
-	// InstanceResult.Epochs.
-	EpochTicks int
 }
 
 // InstanceResult is one instance's outcome.
@@ -87,9 +79,6 @@ type InstanceResult struct {
 	TaskTimes []float64
 	Makespan  float64
 	Counters  []hm.TaskCounters
-	// Epochs holds the engine's per-epoch progress snapshots; empty
-	// unless Options.EpochTicks > 0.
-	Epochs []hm.EpochProgress
 }
 
 // Result is a whole application run.
@@ -127,12 +116,6 @@ func Run(ctx context.Context, app App, spec hm.SystemSpec, pol Policy, opts Opti
 		ctx = context.Background()
 	}
 	mem := hm.NewMemory(spec)
-	if opts.DRAMQuotas != nil {
-		mem.Quotas = hm.NewQuotaLedger()
-		for tenant, pages := range opts.DRAMQuotas {
-			mem.Quotas.SetQuota(tenant, pages)
-		}
-	}
 	if err := app.Setup(mem); err != nil {
 		return nil, fmt.Errorf("task: %s setup: %w", app.Name(), err)
 	}
@@ -162,7 +145,6 @@ func Run(ctx context.Context, app App, spec hm.SystemSpec, pol Policy, opts Opti
 			MemoryMode:  pol.MemoryMode(),
 			Debug:       opts.Debug,
 			Obs:         opts.Observer,
-			EpochTicks:  opts.EpochTicks,
 		}
 		rr, err := eng.Run(ctx, works)
 		if err != nil {
@@ -176,7 +158,6 @@ func Run(ctx context.Context, app App, spec hm.SystemSpec, pol Policy, opts Opti
 			TaskTimes: rr.TaskTimes,
 			Makespan:  rr.Makespan,
 			Counters:  rr.Counters,
-			Epochs:    rr.Epochs,
 		})
 		observeInstance(opts.Observer, res.TotalTime, i, rr)
 		res.TotalTime += rr.Makespan

@@ -210,20 +210,16 @@ const (
 // ParseReplanMode parses "off" or "drift" (empty = off).
 func ParseReplanMode(s string) (ReplanMode, error) { return core.ParseReplanMode(s) }
 
-// ReplanConfig tunes the epoch lifecycle: trigger mode, epoch length in
-// policy ticks, drift threshold, migration-cost scaling and the per-
-// instance re-plan budget. The zero value means off — byte-identical to
-// the plan-once policy.
+// ReplanConfig tunes the epoch lifecycle: trigger mode and epoch length
+// in policy ticks. Drift mode re-plans when the projection drifts more
+// than 25% past the prediction, at most 8 times per instance. The zero
+// value means off — byte-identical to the plan-once policy.
 type ReplanConfig = core.ReplanConfig
 
 // EpochReport records one epoch boundary's drift decision (and, when a
 // re-plan was applied, its migration cost); read them from
 // MerchandiserReplan policies via core's EpochReports.
 type EpochReport = core.EpochReport
-
-// EpochProgress is the engine's per-epoch progress snapshot, recorded
-// into each instance's result when Options.EpochTicks > 0.
-type EpochProgress = hm.EpochProgress
 
 // MerchandiserReplan returns a factory for the paper's policy extended
 // with the epoch-based re-planning lifecycle: within each instance the

@@ -3,8 +3,8 @@
 # concurrency-bearing packages (root session pipeline, corpus worker
 # pool, parallel ml fitting, memoized placement, pooled evaluation
 # matrix, observability registries shared across workers, the serving
-# daemon's planner, the epoch re-plan lifecycle and the multi-tenant
-# quota ledger) under the race detector, hold the compiled
+# daemon's planner and the epoch re-plan lifecycle) under the race
+# detector, hold the compiled
 # inference engine to zero allocations per single-point predict and
 # smoke its pointer-vs-compiled benchmarks, the planner benchmarks, the
 # RMAT generator benchmark, the BFS and SpGEMM construction benchmarks
@@ -88,14 +88,13 @@ echo "== pipeline identity smoke (Workers=1 vs Workers=8 byte-identical)"
 # requires identical models, corpora and evaluation matrices.
 go test -timeout 300s -count=1 -run '^TestRunPipelineIdentity$' ./internal/experiments
 
-echo "== replan/quota race tier (epoch lifecycle + multi-tenant ledger)"
-# The epoch lifecycle spawns a re-plan worker per epoch request and the
-# quota ledger is charged from both the policy goroutine and the
-# engine's workers; run exactly those paths — including mid-epoch
-# cancellation and the randomized quota property test — under the race
-# detector.
-go test -race -timeout 600s -count=1 -run 'Replan|Quota|MultiTenant' \
-	./internal/hm ./internal/core ./internal/experiments
+echo "== replan race tier (epoch lifecycle + concurrent study cells)"
+# The epoch lifecycle re-plans on the engine's goroutine, and the
+# PhaseShift study runs its cells on concurrent workers; run exactly
+# those paths — including mid-epoch cancellation and the Workers=1 vs
+# Workers=8 study — under the race detector. (The main race tier above
+# already races ./internal/hm.)
+go test -race -timeout 600s -count=1 -run Replan ./internal/core ./internal/experiments
 
 echo "== replan identity smoke (off == plan-once, Workers=1 vs Workers=8)"
 # The lifecycle's gating contract: ReplanOff must be byte-identical to

@@ -26,8 +26,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -49,37 +51,54 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments to run: table1,table2,table3,table4,fig3,fig4,fig5,fig6,fig7,alpha,ablations,cxl,replan, 'all' (every one but cxl and replan, which run only when named) or 'none'")
-	quick := flag.Bool("quick", false, "reduced scale (smaller apps and corpus)")
-	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "concurrency of training and evaluation (0 = NumCPU); results are identical for any value")
-	jsonPath := flag.String("json", "", "also write a machine-readable summary to this file")
-	metricsPath := flag.String("metrics", "", "write the deterministic metrics dump (per-cell registry snapshots) to this file")
-	tracePath := flag.String("trace", "", "write a chrome-trace event log of the evaluation to this file")
-	policies := flag.String("policy", "", "comma-separated policy names to evaluate (default: all registered; see -policy list)")
-	cvFlag := flag.Bool("cv", false, "also run the k-fold feature-subset search (pipelined runs overlap it with evaluation)")
-	outDir := flag.String("out", "", "directory for output files; relative -json/-metrics/-trace/-save paths are placed under it instead of the CWD")
-	savePath := flag.String("save", "", "after training, checkpoint the system (spec + correlation function) to this artifact file")
-	loadPath := flag.String("load", "", "skip training and restore the system from this artifact file")
-	replanMode := flag.String("replan", "", "Merchandiser re-planning mode for every cell: off or drift (default off — byte-identical to plan-once)")
-	replanEpoch := flag.Int("replan-epoch", 0, "epoch length in policy ticks for -replan (0 = default)")
-	registryRoot := flag.String("registry", "", "model registry root for -publish/-promote (see cmd/merchserved -registry)")
-	publish := flag.String("publish", "", "with -save and -registry: publish the saved artifact into the registry under this version name")
-	promote := flag.Bool("promote", false, "with -publish: promote the published version to CURRENT (replicas pick it up on SIGHUP or POST /reloadz)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile (taken after the run, post-GC) to this file")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "merchbench:", err)
+		os.Exit(1)
+	}
+}
+
+// run is merchbench with its command line and standard output as
+// arguments. Every failure is returned rather than exiting, so the
+// deferred profile writers run on the error path too.
+func run(args []string, stdout io.Writer) (err error) {
+	flags := flag.NewFlagSet("merchbench", flag.ExitOnError)
+	exp := flags.String("exp", "all", "comma-separated experiments to run: table1,table2,table3,table4,fig3,fig4,fig5,fig6,fig7,alpha,ablations,cxl,replan, 'all' (every one but cxl and replan, which run only when named) or 'none'")
+	quick := flags.Bool("quick", false, "reduced scale (smaller apps and corpus)")
+	seed := flags.Int64("seed", 1, "random seed")
+	workers := flags.Int("workers", 0, "concurrency of training and evaluation (0 = NumCPU); results are identical for any value")
+	jsonPath := flags.String("json", "", "also write a machine-readable summary to this file")
+	metricsPath := flags.String("metrics", "", "write the deterministic metrics dump (per-cell registry snapshots) to this file")
+	tracePath := flags.String("trace", "", "write a chrome-trace event log of the evaluation to this file")
+	policies := flags.String("policy", "", "comma-separated policy names to evaluate (default: all registered; see -policy list)")
+	cvFlag := flags.Bool("cv", false, "also run the k-fold feature-subset search (pipelined runs overlap it with evaluation)")
+	outDir := flags.String("out", "", "directory for output files; relative -json/-metrics/-trace/-save paths are placed under it instead of the CWD")
+	savePath := flags.String("save", "", "after training, checkpoint the system (spec + correlation function) to this artifact file")
+	loadPath := flags.String("load", "", "skip training and restore the system from this artifact file")
+	replanMode := flags.String("replan", "", "Merchandiser re-planning mode for every cell: off or drift (default off — byte-identical to plan-once)")
+	replanEpoch := flags.Int("replan-epoch", 0, "epoch length in policy ticks for -replan (0 = default)")
+	registryRoot := flags.String("registry", "", "model registry root for -publish/-promote (see cmd/merchserved -registry)")
+	publish := flags.String("publish", "", "with -save and -registry: publish the saved artifact into the registry under this version name")
+	promote := flags.Bool("promote", false, "with -publish: promote the published version to CURRENT (replicas pick it up on SIGHUP or POST /reloadz)")
+	cpuProfile := flags.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	memProfile := flags.String("memprofile", "", "write a heap profile (taken after the run, post-GC) to this file")
+	_ = flags.Parse(args) // ExitOnError: a bad flag exits 2 and -h exits 0 inside Parse
 
 	want, err := parseExperiments(*exp)
-	fail(err)
+	if err != nil {
+		return err
+	}
+	all := want["all"]
 	if *savePath != "" && *loadPath != "" {
-		fail(fmt.Errorf("-save and -load are mutually exclusive"))
+		return fmt.Errorf("-save and -load are mutually exclusive")
 	}
 	if *publish != "" && (*savePath == "" || *registryRoot == "") {
-		fail(fmt.Errorf("-publish needs -save (the artifact to publish) and -registry (where to publish it)"))
+		return fmt.Errorf("-publish needs -save (the artifact to publish) and -registry (where to publish it)")
 	}
 	if *promote && *publish == "" {
-		fail(fmt.Errorf("-promote needs -publish"))
+		return fmt.Errorf("-promote needs -publish")
+	}
+	if *loadPath != "" && (all || want["table3"] || want["fig7"] || want["ablations"] || want["cxl"] || *cvFlag) {
+		return fmt.Errorf("a -load artifact carries the trained model but not the training corpus; table3, fig7, ablations, cxl and -cv retrain — run them without -load (use -exp like fig4,table4)")
 	}
 	outPath := func(p string) string {
 		if p == "" || *outDir == "" || filepath.IsAbs(p) {
@@ -88,7 +107,9 @@ func main() {
 		return filepath.Join(*outDir, p)
 	}
 	if *outDir != "" {
-		fail(os.MkdirAll(*outDir, 0o755))
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			return err
+		}
 	}
 	*jsonPath = outPath(*jsonPath)
 	*metricsPath = outPath(*metricsPath)
@@ -98,21 +119,24 @@ func main() {
 	*memProfile = outPath(*memProfile)
 
 	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		fail(err)
-		fail(pprof.StartCPUProfile(f))
+		f, cerr := os.Create(*cpuProfile) // not err: the deferred Join must set run's result
+		if cerr != nil {
+			return cerr
+		}
+		if cerr = pprof.StartCPUProfile(f); cerr != nil {
+			return errors.Join(cerr, f.Close())
+		}
 		defer func() {
 			pprof.StopCPUProfile()
-			fail(f.Close())
+			err = errors.Join(err, f.Close())
 		}()
 	}
 	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			fail(err)
-			runtime.GC() // settle the heap so the profile reflects live objects
-			fail(pprof.WriteHeapProfile(f))
-			fail(f.Close())
+			err = errors.Join(err, writeFile(*memProfile, func(w io.Writer) error {
+				runtime.GC() // settle the heap so the profile reflects live objects
+				return pprof.WriteHeapProfile(w)
+			}))
 		}()
 	}
 
@@ -131,34 +155,31 @@ func main() {
 		Obs: reg, Trace: *tracePath != "",
 	}
 	rmode, err := core.ParseReplanMode(*replanMode)
-	fail(err)
+	if err != nil {
+		return err
+	}
 	cfg.Replan = core.ReplanConfig{Mode: rmode, EpochTicks: *replanEpoch}
 
 	if *policies != "" {
 		if *policies == "list" {
-			fmt.Println(strings.Join(policyreg.Names(), "\n"))
-			return
+			fmt.Fprintln(stdout, strings.Join(policyreg.Names(), "\n"))
+			return nil
 		}
 		for _, name := range strings.Split(*policies, ",") {
 			name = strings.TrimSpace(name)
 			if _, err := policyreg.Lookup(name); err != nil {
-				fail(err)
+				return err
 			}
 			cfg.Policies = append(cfg.Policies, name)
 		}
 	}
-	all := want["all"]
-	w := os.Stdout
+	w := stdout
 
 	needsArtifacts := all || want["table3"] || want["table4"] || want["fig4"] ||
 		want["fig5"] || want["fig6"] || want["fig7"] || want["alpha"] || want["ablations"] ||
-		want["replan"]
+		want["replan"] || *cvFlag
 	needsEval := all || want["table4"] || want["fig4"] || want["fig5"] ||
 		want["fig6"] || want["alpha"] || *jsonPath != "" || *metricsPath != "" || *tracePath != ""
-
-	if *loadPath != "" && (all || want["table3"] || want["fig7"] || want["ablations"] || want["cxl"]) {
-		fail(fmt.Errorf("a -load artifact carries the trained model but not the training corpus; table3, fig7, ablations and cxl retrain — run them without -load (use -exp like fig4,table4)"))
-	}
 
 	// Training + evaluation run pace-car pipelined: corpus simulation
 	// streams into model fitting, and evaluation cells launch as their
@@ -172,13 +193,17 @@ func main() {
 	switch {
 	case *loadPath != "":
 		sys, err := merchandiser.RestoreFile(ctx, *loadPath)
-		fail(err)
+		if err != nil {
+			return err
+		}
 		art = &experiments.Artifacts{Spec: sys.Spec, Perf: sys.Perf, TestR2: sys.TrainedR2, SampleCount: sys.Meta.Samples}
 		fmt.Fprintf(w, "offline: restored from %s (level=%s, %d samples, held-out R²=%.3f) — no retraining\n\n",
 			*loadPath, sys.Meta.Level, sys.Meta.Samples, sys.TrainedR2)
 	case pipelined:
-		res, perr := experiments.RunPipeline(ctx, cfg, experiments.PipelineOptions{CV: *cvFlag})
-		fail(perr)
+		res, err := experiments.RunPipeline(ctx, cfg, experiments.PipelineOptions{CV: *cvFlag})
+		if err != nil {
+			return err
+		}
 		art, eval, cvResults = res.Artifacts, res.Eval, res.CV
 		fmt.Fprintf(w, "offline: correlation function trained on %d samples, held-out R²=%.3f (%.1fs)\n",
 			len(art.Samples), art.TestR2, reg.WallTimer("pipeline.train_seconds").Seconds())
@@ -194,21 +219,31 @@ func main() {
 			e2e, overlap, train, evalS)
 	case needsArtifacts || *savePath != "" || *jsonPath != "" || *metricsPath != "" || *tracePath != "":
 		art, err = experiments.Prepare(ctx, cfg)
-		fail(err)
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "offline: correlation function trained on %d samples, held-out R²=%.3f (%.1fs)\n\n",
 			len(art.Samples), art.TestR2, reg.WallTimer("pipeline.train_seconds").Seconds())
 	}
 	if *savePath != "" {
-		fail(saveArtifacts(*savePath, art, cfg))
+		if err := saveArtifacts(*savePath, art, cfg); err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "checkpoint written to %s\n\n", *savePath)
 		if *publish != "" {
 			reg, err := registry.Open(*registryRoot)
-			fail(err)
+			if err != nil {
+				return err
+			}
 			ent, err := reg.Publish(*publish, *savePath)
-			fail(err)
+			if err != nil {
+				return err
+			}
 			fmt.Fprintf(w, "published %s to %s (sha256 %s…)\n", ent.Version, *registryRoot, ent.SHA256[:12])
 			if *promote {
-				fail(reg.Promote(*publish))
+				if err := reg.Promote(*publish); err != nil {
+					return err
+				}
 				fmt.Fprintf(w, "promoted %s to CURRENT\n\n", *publish)
 			} else {
 				fmt.Fprintln(w)
@@ -216,14 +251,18 @@ func main() {
 		}
 	}
 	if needsEval && eval == nil {
-		eval, err = experiments.RunEvaluation(ctx, art, cfg)
-		fail(err)
+		if eval, err = experiments.RunEvaluation(ctx, art, cfg); err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "evaluation: 5 applications x policies executed (%.1fs)\n\n",
 			reg.WallTimer("pipeline.eval_seconds").Seconds())
 	}
-	if *cvFlag && !pipelined && art != nil && len(art.Samples) > 0 {
-		cvResults, err = experiments.CVFeatureSearch(ctx, art, cfg, nil)
-		fail(err)
+	// -load is refused with -cv, so an unpipelined -cv run has just
+	// trained through Prepare and holds the corpus the search needs.
+	if *cvFlag && !pipelined {
+		if cvResults, err = experiments.CVFeatureSearch(ctx, art, cfg, nil); err != nil {
+			return err
+		}
 	}
 	if len(cvResults) > 0 {
 		fmt.Fprintf(w, "CV feature-subset search (%d-fold):\n", 3)
@@ -240,16 +279,21 @@ func main() {
 	var ablationRows []experiments.AblationRow
 
 	if all || want["table1"] {
-		fail(experiments.Table1(w, cfg))
+		if err := experiments.Table1(w, cfg); err != nil {
+			return err
+		}
 		fmt.Fprintln(w)
 	}
 	if all || want["table2"] {
-		fail(experiments.Table2(w, cfg))
+		if err := experiments.Table2(w, cfg); err != nil {
+			return err
+		}
 		fmt.Fprintln(w)
 	}
 	if all || want["fig3"] {
-		fig3Rows, err = experiments.Fig3(ctx, w, cfg)
-		fail(err)
+		if fig3Rows, err = experiments.Fig3(ctx, w, cfg); err != nil {
+			return err
+		}
 	}
 	if all || want["fig4"] {
 		experiments.Fig4(w, eval)
@@ -261,45 +305,51 @@ func main() {
 		experiments.Fig6(w, eval)
 	}
 	if all || want["table3"] {
-		table3Rows, err = experiments.Table3(ctx, w, art, cfg)
-		fail(err)
+		if table3Rows, err = experiments.Table3(ctx, w, art, cfg); err != nil {
+			return err
+		}
 	}
 	if all || want["fig7"] {
-		fig7Points, err = experiments.Fig7(ctx, w, art, cfg)
-		fail(err)
+		if fig7Points, err = experiments.Fig7(ctx, w, art, cfg); err != nil {
+			return err
+		}
 	}
 	if all || want["table4"] {
-		table4Rows, err = experiments.Table4(w, eval)
-		fail(err)
+		if table4Rows, err = experiments.Table4(w, eval); err != nil {
+			return err
+		}
 	}
 	if all || want["alpha"] {
-		fail(experiments.AlphaStudy(w, eval))
+		if err := experiments.AlphaStudy(w, eval); err != nil {
+			return err
+		}
 	}
 	if all || want["ablations"] {
-		ablationRows, err = experiments.Ablations(ctx, w, art, cfg)
-		fail(err)
+		if ablationRows, err = experiments.Ablations(ctx, w, art, cfg); err != nil {
+			return err
+		}
 	}
 	if want["cxl"] { // not part of 'all': it retrains and re-runs everything
-		_, err := experiments.CXL(ctx, w, cfg)
-		fail(err)
+		if _, err := experiments.CXL(ctx, w, cfg); err != nil {
+			return err
+		}
 	}
 	if want["replan"] { // not part of 'all': new epoch-lifecycle cells, opt-in
-		_, err := experiments.ReplanStudy(ctx, w, art, cfg)
-		fail(err)
+		if _, err := experiments.ReplanStudy(ctx, w, art, cfg); err != nil {
+			return err
+		}
 	}
 
 	if *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
-		fail(err)
-		fail(eval.MetricsDump(reg).WriteMetricsJSON(f))
-		fail(f.Close())
+		if err := writeFile(*metricsPath, eval.MetricsDump(reg).WriteMetricsJSON); err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "metrics written to %s\n", *metricsPath)
 	}
 	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		fail(err)
-		fail(eval.WriteTraceJSON(f))
-		fail(f.Close())
+		if err := writeFile(*tracePath, eval.WriteTraceJSON); err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "trace written to %s\n", *tracePath)
 	}
 
@@ -315,12 +365,23 @@ func main() {
 		sum.Fig7 = fig7Points
 		sum.Ablations = ablationRows
 		sum.Timing = experiments.TimingFromRegistry(reg, resolved, pipelined, art)
-		f, err := os.Create(*jsonPath)
-		fail(err)
-		fail(sum.WriteJSON(f))
-		fail(f.Close())
+		if err := writeFile(*jsonPath, sum.WriteJSON); err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "summary written to %s\n", *jsonPath)
 	}
+	return nil
+}
+
+// writeFile creates path and fills it with write; a failed Close is
+// reported alongside write's error.
+func writeFile(path string, write func(io.Writer) error) (err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, f.Close()) }()
+	return write(f)
 }
 
 // saveArtifacts checkpoints the trained pipeline via the public snapshot
@@ -365,11 +426,4 @@ func parseExperiments(spec string) (map[string]bool, error) {
 		want[e] = true
 	}
 	return want, nil
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "merchbench:", err)
-		os.Exit(1)
-	}
 }

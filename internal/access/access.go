@@ -202,30 +202,6 @@ func (p Pattern) PrefetchMissRatio() float64 {
 	}
 }
 
-// ObjectAccess binds a pattern to a data object inside one task, together
-// with the number of program-level element accesses the task performs on
-// it per task instance. Reads and writes are split because write traffic
-// hits PM harder (the paper cites 4.74x lower write bandwidth).
-type ObjectAccess struct {
-	Object  string // data object name (e.g. "H", "PSI", "A", "B", "C")
-	Pattern Pattern
-	Reads   float64 // program-level element reads per instance
-	Writes  float64 // program-level element writes per instance
-}
-
-// Total returns reads+writes.
-func (oa ObjectAccess) Total() float64 { return oa.Reads + oa.Writes }
-
-// WriteFraction returns writes / (reads+writes), or 0 for an untouched
-// object.
-func (oa ObjectAccess) WriteFraction() float64 {
-	t := oa.Total()
-	if t == 0 {
-		return 0
-	}
-	return oa.Writes / t
-}
-
 // PageWeights distributes one unit of access mass over numPages pages of
 // an object according to the pattern. The result sums to 1 (for
 // numPages > 0). Regular patterns spread uniformly; Random with Skew > 0
@@ -258,20 +234,4 @@ func PageWeights(p Pattern, numPages int, seed int64) []float64 {
 		w[i] /= sum
 	}
 	return w
-}
-
-// Footprint describes one data object's size in bytes; helper used by
-// several packages to speak about object extents consistently.
-type Footprint struct {
-	Object string
-	Bytes  uint64
-}
-
-// Pages returns the number of pageSize pages the object occupies
-// (rounded up).
-func (f Footprint) Pages(pageSize uint64) uint64 {
-	if pageSize == 0 {
-		return 0
-	}
-	return (f.Bytes + pageSize - 1) / pageSize
 }

@@ -111,20 +111,6 @@ func TestPrefetchMissRatio(t *testing.T) {
 	}
 }
 
-func TestObjectAccess(t *testing.T) {
-	oa := ObjectAccess{Object: "A", Reads: 30, Writes: 10}
-	if oa.Total() != 40 {
-		t.Fatalf("Total = %v", oa.Total())
-	}
-	if oa.WriteFraction() != 0.25 {
-		t.Fatalf("WriteFraction = %v", oa.WriteFraction())
-	}
-	empty := ObjectAccess{Object: "B"}
-	if empty.WriteFraction() != 0 {
-		t.Fatal("empty object write fraction should be 0")
-	}
-}
-
 func TestPageWeightsUniform(t *testing.T) {
 	p := Pattern{Kind: Stream, ElemSize: 8}
 	w := PageWeights(p, 4, 1)
@@ -190,19 +176,6 @@ func TestPageWeightsSumToOneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFootprintPages(t *testing.T) {
-	f := Footprint{Object: "A", Bytes: 4096*3 + 1}
-	if got := f.Pages(4096); got != 4 {
-		t.Fatalf("Pages = %d, want 4", got)
-	}
-	if got := f.Pages(0); got != 0 {
-		t.Fatalf("Pages with zero page size = %d, want 0", got)
-	}
-	if got := (Footprint{Bytes: 0}).Pages(4096); got != 0 {
-		t.Fatalf("empty object pages = %d, want 0", got)
 	}
 }
 

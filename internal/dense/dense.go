@@ -57,32 +57,8 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// Axpy computes y += a·x.
-func Axpy(a float64, x, y []float64) {
-	for i := range x {
-		y[i] += a * x[i]
-	}
-}
-
 // Norm returns ‖x‖₂.
 func Norm(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
-
-// Orthogonalize performs one modified-Gram-Schmidt pass of v against the
-// basis vectors and normalizes it; it returns false if v is (numerically)
-// in the basis span.
-func Orthogonalize(v []float64, basis [][]float64) bool {
-	for _, b := range basis {
-		Axpy(-Dot(v, b), b, v)
-	}
-	n := Norm(v)
-	if n < 1e-12 {
-		return false
-	}
-	for i := range v {
-		v[i] /= n
-	}
-	return true
-}
 
 // DavidsonStats reports the work of a Davidson run.
 type DavidsonStats struct {

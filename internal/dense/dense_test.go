@@ -46,26 +46,6 @@ func TestBlasHelpers(t *testing.T) {
 	if Norm(x) != 5 {
 		t.Fatalf("Norm = %v", Norm(x))
 	}
-	y := []float64{1, 1}
-	Axpy(2, x, y)
-	if y[0] != 7 || y[1] != 9 {
-		t.Fatalf("Axpy = %v", y)
-	}
-}
-
-func TestOrthogonalize(t *testing.T) {
-	basis := [][]float64{{1, 0, 0}, {0, 1, 0}}
-	v := []float64{1, 1, 1}
-	if !Orthogonalize(v, basis) {
-		t.Fatal("independent vector rejected")
-	}
-	if math.Abs(v[0]) > 1e-12 || math.Abs(v[1]) > 1e-12 || math.Abs(v[2]-1) > 1e-12 {
-		t.Fatalf("orthogonalized v = %v", v)
-	}
-	dep := []float64{2, 3, 0}
-	if Orthogonalize(dep, basis) {
-		t.Fatal("dependent vector accepted")
-	}
 }
 
 func TestDavidsonFindsDominantEigenpair(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"merchandiser/internal/hm"
+	"merchandiser/internal/pmc"
 	"merchandiser/internal/task"
 )
 
@@ -196,6 +197,27 @@ func TestFig7EventAblation(t *testing.T) {
 	}
 	if len(points) != 16 {
 		t.Fatalf("points = %d, want 16 (one per event count)", len(points))
+	}
+	// Each step drops one event that was still active, so the counts
+	// fall 16, 15, …, 1 and the last point drops nothing.
+	active := map[string]bool{}
+	for _, e := range pmc.AllEvents {
+		active[e] = true
+	}
+	for i, p := range points {
+		if want := len(points) - i; p.Events != want {
+			t.Fatalf("point %d has %d events, want %d", i, p.Events, want)
+		}
+		if i == len(points)-1 {
+			if p.Dropped != "" {
+				t.Fatalf("last point drops %q, want nothing", p.Dropped)
+			}
+			break
+		}
+		if !active[p.Dropped] {
+			t.Fatalf("point %d drops %q, not an event still active", i, p.Dropped)
+		}
+		delete(active, p.Dropped)
 	}
 	all := points[0]
 	var at8, at1 Fig7Point

@@ -97,23 +97,6 @@ func relImprovement(eval *Eval, policy, base string) float64 {
 	return s / float64(n)
 }
 
-// MaxImprovement returns the largest per-app improvement of policy over
-// base (the paper's "up to" numbers).
-func MaxImprovement(eval *Eval, policy, base string) float64 {
-	best := 0.0
-	for _, app := range AppNames {
-		pb := eval.Runs[app][base]
-		pp := eval.Runs[app][policy]
-		if pb == nil || pp == nil || pb.TotalTime == 0 {
-			continue
-		}
-		if v := (pb.TotalTime - pp.TotalTime) / pb.TotalTime; v > best {
-			best = v
-		}
-	}
-	return best
-}
-
 // Fig5 renders per-task execution-time variance (paper Figure 5: boxplots
 // and A.C.V).
 func Fig5(w io.Writer, eval *Eval) {

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"merchandiser/internal/merr"
 	"merchandiser/internal/ml"
+	"merchandiser/internal/model"
 	"merchandiser/internal/pmc"
 )
 
@@ -94,6 +96,15 @@ func TestRunPipelineIdentity(t *testing.T) {
 	if !reflect.DeepEqual(evalDigest(eval), evalDigest(p8.Eval)) {
 		t.Fatal("pipelined evaluation differs from the barriered one")
 	}
+	// An unpipelined -cv run (merchbench -exp table3 -cv) searches
+	// Prepare's artifacts without the slot pool: same scores.
+	cv, err := CVFeatureSearch(context.Background(), art, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cv, p8.CV) {
+		t.Fatalf("CV feature search differs between entry points:\n%v\nvs\n%v", cv, p8.CV)
+	}
 
 	// CV output shape: nested prefixes of the event list down to 2.
 	wantSizes := 0
@@ -109,6 +120,29 @@ func TestRunPipelineIdentity(t *testing.T) {
 	for _, cv := range p1.CV {
 		if len(cv.Names) != cv.Events {
 			t.Fatalf("CV candidate reports %d events but %d names", cv.Events, len(cv.Names))
+		}
+	}
+}
+
+// TestCVFeatureSearchCanceled: a canceled search returns the
+// cancellation, and a search without a trained model or its corpus is
+// refused.
+func TestCVFeatureSearchCanceled(t *testing.T) {
+	art, _ := quickEval(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := CVFeatureSearch(ctx, art, quickCfg(), nil)
+	if !errors.Is(err, context.Canceled) || !errors.Is(err, merr.ErrCanceled) {
+		t.Fatalf("CVFeatureSearch under a canceled context = %v, want a dual-matchable cancellation", err)
+	}
+	for name, bad := range map[string]*Artifacts{
+		"no samples": {Spec: art.Spec, Perf: art.Perf},
+		"untrained":  {Spec: art.Spec, Perf: &model.PerfModel{}, Samples: art.Samples},
+		"nil model": {Spec: art.Spec, Samples: art.Samples,
+			Perf: &model.PerfModel{Corr: &model.CorrelationFunc{Events: art.Perf.Corr.Events}}},
+	} {
+		if _, err := CVFeatureSearch(context.Background(), bad, quickCfg(), nil); err == nil {
+			t.Errorf("CVFeatureSearch with %s succeeded", name)
 		}
 	}
 }

@@ -90,22 +90,6 @@ func TestFitFallsBackToUpfrontCheck(t *testing.T) {
 	}
 }
 
-func TestCrossValidateSubsetsCanceled(t *testing.T) {
-	X, y := cancelTrainingData(40, 4)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := CrossValidateSubsetsObs(
-		func() Regressor { return NewDecisionTree(TreeConfig{MaxDepth: 4}) },
-		X, y,
-		[]string{"a", "b", "c", "d"},
-		[][]int{{0, 1}, {2, 3}, {0, 3}},
-		CVOptions{Ctx: ctx, Folds: 3, Seed: 1, Workers: 2},
-	)
-	if !errors.Is(err, context.Canceled) || !errors.Is(err, merr.ErrCanceled) {
-		t.Fatalf("want dual-matchable cancellation error, got %v", err)
-	}
-}
-
 func TestFitContextBackgroundIdenticalToFit(t *testing.T) {
 	X, y := cancelTrainingData(80, 3)
 	a := NewGradientBoosted(GBRConfig{NumStages: 20, MaxDepth: 3, Seed: 5})

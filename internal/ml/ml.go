@@ -2,9 +2,10 @@
 // Decision Tree Regressor, Support Vector Regressor (RBF), K-Neighbors
 // Regressor, Random Forest Regressor, Gradient Boosted Regressor and an
 // MLP Regressor — from scratch on the standard library, together with the
-// impurity-based ("Gini") feature importance and the recursive feature
-// elimination the paper uses to select the 8 workload-characteristic
-// events (Section 5.1, Figure 7).
+// impurity-based ("Gini") feature importance the paper uses to select the
+// 8 workload-characteristic events (Section 5.1). The recursive feature
+// elimination itself is Figure 7's loop (experiments.Fig7), which needs a
+// regular and an irregular R² per step.
 //
 // The paper trains these with scikit-learn; the implementations here
 // follow the same algorithms (CART with variance reduction, bagging,
@@ -160,6 +161,19 @@ func PredictBatch(m Regressor, X [][]float64) []float64 {
 	out := make([]float64, len(X))
 	for i, x := range X {
 		out[i] = m.Predict(x)
+	}
+	return out
+}
+
+// ProjectColumns selects the given columns of X into a new matrix.
+func ProjectColumns(X [][]float64, cols []int) [][]float64 {
+	out := make([][]float64, len(X))
+	for i, r := range X {
+		row := make([]float64, len(cols))
+		for j, c := range cols {
+			row[j] = r[c]
+		}
+		out[i] = row
 	}
 	return out
 }

@@ -271,84 +271,6 @@ func TestTrainTestSplit(t *testing.T) {
 	}
 }
 
-func TestRecursiveFeatureElimination(t *testing.T) {
-	X, y := synth(600, 8, 3, 0.05, 14)
-	Xtr, ytr, Xte, yte, _ := TrainTestSplit(X, y, 0.7, 2)
-	names := []string{"f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7"}
-	steps, err := RecursiveFeatureElimination(
-		func() Regressor { return NewGradientBoosted(GBRConfig{NumStages: 40, Seed: 14}) },
-		Xtr, ytr, Xte, yte, names, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(steps) != 6 { // 8 features down to 3
-		t.Fatalf("steps = %d, want 6", len(steps))
-	}
-	if len(steps[0].Features) != 8 || len(steps[len(steps)-1].Features) != 3 {
-		t.Fatalf("feature counts wrong: first %d last %d",
-			len(steps[0].Features), len(steps[len(steps)-1].Features))
-	}
-	// The informative features f0..f2 must survive to the last-but-one step.
-	last := steps[len(steps)-1].Features
-	informative := 0
-	for _, f := range last {
-		if f == "f0" || f == "f1" || f == "f2" {
-			informative++
-		}
-	}
-	if informative != len(last) {
-		t.Fatalf("uninformative features survived elimination: %v", last)
-	}
-	// Accuracy with few informative features retained should stay close to
-	// the full-feature accuracy.
-	if steps[len(steps)-1].R2 < steps[0].R2-0.1 {
-		t.Fatalf("accuracy collapsed after elimination: %v -> %v",
-			steps[0].R2, steps[len(steps)-1].R2)
-	}
-	// All steps except the last record what was dropped.
-	for i, s := range steps {
-		if i < len(steps)-1 && s.Dropped == "" {
-			t.Fatalf("step %d missing Dropped", i)
-		}
-	}
-	if steps[len(steps)-1].Dropped != "" {
-		t.Fatal("final step should not drop anything")
-	}
-}
-
-func TestRankFeatures(t *testing.T) {
-	X, y := synth(600, 6, 2, 0.05, 15)
-	names := []string{"a", "b", "c", "d", "e", "f"}
-	ranked, err := RankFeatures(
-		func() Regressor { return NewDecisionTree(TreeConfig{MaxDepth: 10}) },
-		X, y, names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ranked) != 6 {
-		t.Fatalf("ranked = %v", ranked)
-	}
-	top2 := map[string]bool{ranked[0]: true, ranked[1]: true}
-	if !top2["a"] || !top2["b"] {
-		t.Fatalf("top features = %v, want a and b first", ranked[:2])
-	}
-}
-
-func TestRFEErrors(t *testing.T) {
-	if _, err := RecursiveFeatureElimination(nil, nil, nil, nil, nil, nil, 1); err == nil {
-		t.Fatal("empty sets should error")
-	}
-	X, y := synth(50, 3, 2, 0, 16)
-	if _, err := RecursiveFeatureElimination(
-		func() Regressor { return NewKNN(KNNConfig{}) },
-		X, y, X, y, []string{"a", "b", "c"}, 1); err == nil {
-		t.Fatal("model without importances should error")
-	}
-	if _, err := RankFeatures(func() Regressor { return NewKNN(KNNConfig{}) }, X, y, []string{"a", "b", "c"}); err == nil {
-		t.Fatal("RankFeatures without importances should error")
-	}
-}
-
 func TestTable3OrderingEmerges(t *testing.T) {
 	// The paper's qualitative finding: GBR and ANN lead, RFR close behind,
 	// single DTR and KNR trail. Verify GBR beats DTR and KNR on the same
@@ -512,88 +434,5 @@ func TestEnsembleFitDeterministicAcrossWorkers(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestCrossValidateSubsets(t *testing.T) {
-	X, y := synth(300, 6, 3, 0.05, 17)
-	features := []string{"f0", "f1", "f2", "f3", "f4", "f5"}
-	candidates := [][]int{
-		{0, 1, 2},    // the informative set
-		{3, 4, 5},    // pure noise
-		{0, 1, 2, 3}, // informative + noise
-	}
-	mk := func() Regressor { return NewGradientBoosted(GBRConfig{NumStages: 40, MaxDepth: 3, Seed: 5}) }
-	scores, err := CrossValidateSubsets(mk, X, y, features, candidates, 5, 9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) != len(candidates) {
-		t.Fatalf("got %d scores, want %d", len(scores), len(candidates))
-	}
-	best := BestSubset(scores)
-	if best == 1 {
-		t.Fatalf("noise-only subset won: %+v", scores)
-	}
-	if scores[0].MeanR2 <= scores[1].MeanR2 {
-		t.Fatalf("informative subset (%v) not better than noise (%v)", scores[0].MeanR2, scores[1].MeanR2)
-	}
-	if len(scores[0].FoldR2) != 5 {
-		t.Fatalf("fold count = %d, want 5", len(scores[0].FoldR2))
-	}
-	if scores[0].Features[0] != "f0" || scores[2].Features[3] != "f3" {
-		t.Fatalf("feature names mismapped: %+v", scores)
-	}
-}
-
-func TestCrossValidateSubsetsDeterministicAcrossWorkers(t *testing.T) {
-	X, y := synth(240, 5, 3, 0.05, 19)
-	features := []string{"a", "b", "c", "d", "e"}
-	var candidates [][]int
-	for i := 0; i < 5; i++ {
-		for j := i + 1; j < 5; j++ {
-			candidates = append(candidates, []int{i, j})
-		}
-	}
-	mk := func() Regressor { return NewRandomForest(ForestConfig{NumTrees: 8, MaxDepth: 6, Seed: 7}) }
-	want, err := CrossValidateSubsets(mk, X, y, features, candidates, 4, 21, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 8} {
-		got, err := CrossValidateSubsets(mk, X, y, features, candidates, 4, 21, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ci := range want {
-			if want[ci].MeanR2 != got[ci].MeanR2 {
-				t.Fatalf("workers=%d: candidate %d mean R² %v != %v", workers, ci, got[ci].MeanR2, want[ci].MeanR2)
-			}
-			for k := range want[ci].FoldR2 {
-				if want[ci].FoldR2[k] != got[ci].FoldR2[k] {
-					t.Fatalf("workers=%d: candidate %d fold %d differs", workers, ci, k)
-				}
-			}
-		}
-	}
-}
-
-func TestCrossValidateSubsetsValidation(t *testing.T) {
-	X, y := synth(30, 3, 2, 0.05, 23)
-	mk := func() Regressor { return NewDecisionTree(TreeConfig{MaxDepth: 4}) }
-	if _, err := CrossValidateSubsets(mk, X, y, []string{"a", "b", "c"}, nil, 3, 1, 0); err == nil {
-		t.Fatal("no candidates must error")
-	}
-	if _, err := CrossValidateSubsets(mk, X, y, []string{"a", "b"}, [][]int{{0}}, 3, 1, 0); err == nil {
-		t.Fatal("name/column mismatch must error")
-	}
-	if _, err := CrossValidateSubsets(mk, X, y, []string{"a", "b", "c"}, [][]int{{}}, 3, 1, 0); err == nil {
-		t.Fatal("empty candidate must error")
-	}
-	if _, err := CrossValidateSubsets(mk, X, y, []string{"a", "b", "c"}, [][]int{{3}}, 3, 1, 0); err == nil {
-		t.Fatal("out-of-range column must error")
-	}
-	if BestSubset(nil) != -1 {
-		t.Fatal("BestSubset(nil) != -1")
 	}
 }

@@ -261,19 +261,6 @@ func TestHomogeneousPredictor(t *testing.T) {
 	}
 }
 
-func TestSizeRatioPredict(t *testing.T) {
-	got, err := SizeRatioPredict(10, []float64{100, 100}, []float64{200, 200})
-	if err != nil || got != 20 {
-		t.Fatalf("SizeRatioPredict = %v (%v), want 20", got, err)
-	}
-	if _, err := SizeRatioPredict(10, []float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch should error")
-	}
-	if _, err := SizeRatioPredict(10, []float64{0}, []float64{1}); err == nil {
-		t.Fatal("zero base should error")
-	}
-}
-
 func TestCorrelationEvalClamps(t *testing.T) {
 	// A model that returns wild values is clamped into (0, 2].
 	c := &CorrelationFunc{Model: constantModel(-5), Events: pmc.SelectedEvents}

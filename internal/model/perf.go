@@ -257,21 +257,3 @@ func (h *HomogeneousPredictor) Predict(newSizes []float64) (tPm, tDram float64, 
 	}
 	return tPm, tDram, nil
 }
-
-// SizeRatioPredict is the Table 4 comparator [8]: a profiling-based
-// regression that scales the base input's measured time purely by the
-// total data-object-size ratio, with no workload characterization.
-func SizeRatioPredict(tBase float64, baseSizes, newSizes []float64) (float64, error) {
-	if len(baseSizes) != len(newSizes) {
-		return 0, fmt.Errorf("model: size vectors differ: %d vs %d", len(baseSizes), len(newSizes))
-	}
-	var sb, sn float64
-	for i := range baseSizes {
-		sb += baseSizes[i]
-		sn += newSizes[i]
-	}
-	if sb == 0 {
-		return 0, errors.New("model: zero base sizes")
-	}
-	return tBase * sn / sb, nil
-}

@@ -170,16 +170,6 @@ func (s *Sampler) Estimate(trueCount float64) float64 {
 	return float64(s.poisson(lambda)) * s.Rate
 }
 
-// EstimatePerObject samples each object's access count independently,
-// as PEBS attributes each sample to an address (and thus an object).
-func (s *Sampler) EstimatePerObject(trueCounts map[string]float64) map[string]float64 {
-	out := make(map[string]float64, len(trueCounts))
-	for k, v := range trueCounts {
-		out[k] = s.Estimate(v)
-	}
-	return out
-}
-
 // poisson draws a Poisson variate; for large lambda it uses the normal
 // approximation to stay O(1).
 func (s *Sampler) poisson(lambda float64) int64 {

@@ -157,17 +157,6 @@ func TestSamplerSmallCountsNoisier(t *testing.T) {
 	}
 }
 
-func TestEstimatePerObject(t *testing.T) {
-	s := NewSampler(100, 3)
-	got := s.EstimatePerObject(map[string]float64{"A": 1e6, "B": 0})
-	if got["B"] != 0 {
-		t.Fatal("zero-access object should stay zero")
-	}
-	if got["A"] <= 0 {
-		t.Fatal("active object should be observed")
-	}
-}
-
 func TestNewSamplerClampsRate(t *testing.T) {
 	s := NewSampler(0, 1)
 	if s.Rate != 1 {

@@ -187,22 +187,6 @@ func R2(y, pred []float64) (float64, error) {
 	return 1 - ssRes/ssTot, nil
 }
 
-// MSE returns the mean squared error between y and pred.
-func MSE(y, pred []float64) (float64, error) {
-	if len(y) != len(pred) {
-		return 0, errors.New("stats: MSE on vectors of different length")
-	}
-	if len(y) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for i := range y {
-		d := y[i] - pred[i]
-		s += d * d
-	}
-	return s / float64(len(y)), nil
-}
-
 // MAPE returns the mean absolute percentage error between y and pred,
 // skipping zero ground-truth entries. Table 4 reports prediction accuracy
 // as 1 − MAPE.
@@ -254,39 +238,4 @@ func MinMax(xs []float64) (lo, hi float64, err error) {
 		}
 	}
 	return lo, hi, nil
-}
-
-// GeoMean returns the geometric mean of xs; all values must be positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: geometric mean of non-positive value")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs))), nil
-}
-
-// Normalize returns xs scaled so that the maximum magnitude entry is 1.
-// A zero slice is returned unchanged. Used when rendering figures that the
-// paper normalizes (e.g. Figure 3 normalizes to the PM-only time).
-func Normalize(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	var maxAbs float64
-	for _, x := range out {
-		if a := math.Abs(x); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs == 0 {
-		return out
-	}
-	for i := range out {
-		out[i] /= maxAbs
-	}
-	return out
 }

@@ -198,13 +198,9 @@ func TestR2(t *testing.T) {
 	}
 }
 
-func TestMSEAndMAPE(t *testing.T) {
+func TestMAPE(t *testing.T) {
 	y := []float64{2, 4}
 	p := []float64{1, 6}
-	mse, err := MSE(y, p)
-	if err != nil || !approx(mse, 2.5, 1e-12) {
-		t.Fatalf("MSE = %v (%v), want 2.5", mse, err)
-	}
 	mape, err := MAPE(y, p)
 	if err != nil || !approx(mape, 0.5, 1e-12) {
 		t.Fatalf("MAPE = %v (%v), want 0.5", mape, err)
@@ -228,43 +224,13 @@ func TestMSEAndMAPE(t *testing.T) {
 	}
 }
 
-func TestMinMaxGeoMean(t *testing.T) {
+func TestMinMax(t *testing.T) {
 	lo, hi, err := MinMax([]float64{3, -1, 7})
 	if err != nil || lo != -1 || hi != 7 {
 		t.Fatalf("MinMax = %v,%v (%v)", lo, hi, err)
 	}
 	if _, _, err := MinMax(nil); err == nil {
 		t.Fatal("MinMax empty should error")
-	}
-	g, err := GeoMean([]float64{1, 4})
-	if err != nil || !approx(g, 2, 1e-12) {
-		t.Fatalf("GeoMean = %v (%v), want 2", g, err)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Fatal("GeoMean with zero should error")
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Fatal("GeoMean empty should error")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, -4, 1})
-	want := []float64{0.5, -1, 0.25}
-	for i := range want {
-		if !approx(out[i], want[i], 1e-12) {
-			t.Fatalf("Normalize[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-	zero := Normalize([]float64{0, 0})
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Fatalf("Normalize of zeros = %v", zero)
-	}
-	// Input must not be mutated.
-	in := []float64{2, 4}
-	_ = Normalize(in)
-	if in[0] != 2 || in[1] != 4 {
-		t.Fatalf("Normalize mutated input: %v", in)
 	}
 }
 

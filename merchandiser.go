@@ -284,15 +284,3 @@ func (s *System) Run(ctx context.Context, app App, f PolicyFactory, opts Options
 	}
 	return se.Run(ctx, app, opts)
 }
-
-// Estimate is a closed-form what-if answer for one task (no simulation):
-// the predicted time, memory/compute split and DRAM ratio under the given
-// per-access-stream DRAM fractions (nil = everything on slow memory). It
-// applies the same physics as the engine and matches uncontended
-// single-task simulations to within a few percent.
-type Estimate = hm.Estimate
-
-// EstimateTask computes the closed form for tw on this system.
-func (s *System) EstimateTask(tw TaskWork, fracDRAM []float64) (*Estimate, error) {
-	return hm.EstimateTask(s.Spec, tw, fracDRAM)
-}

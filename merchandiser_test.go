@@ -170,37 +170,6 @@ func TestPublicTraceAPI(t *testing.T) {
 	}
 }
 
-func TestPublicEstimateAPI(t *testing.T) {
-	sys, _ := NewSystem(testSpec(), TrainNone)
-	mem := hm.NewMemory(sys.Spec)
-	o, err := mem.Alloc("A", "t", 2<<20, PM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw := TaskWork{Name: "t", Phases: []Phase{{
-		Name: "scan", ComputeSeconds: 0.01,
-		Accesses: []PhaseAccess{{
-			Obj:             o,
-			Pattern:         Pattern{Kind: Stream, ElemSize: 8},
-			ProgramAccesses: 1e7,
-		}},
-	}}}
-	slow, err := sys.EstimateTask(tw, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := sys.EstimateTask(tw, []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Seconds >= slow.Seconds {
-		t.Fatalf("all-DRAM estimate (%v) should beat all-PM (%v)", fast.Seconds, slow.Seconds)
-	}
-	if slow.RDRAM != 0 || fast.RDRAM != 1 {
-		t.Fatalf("RDRAM bookkeeping wrong: %v / %v", slow.RDRAM, fast.RDRAM)
-	}
-}
-
 func TestCompare(t *testing.T) {
 	sys, _ := NewSystem(testSpec(), TrainNone)
 	rows, err := sys.Compare(context.Background(), buildTestApp(t, 3),

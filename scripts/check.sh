@@ -1,8 +1,9 @@
 #!/bin/sh
 # Repo health check: gate on formatting, vet everything, then run the
 # concurrency-bearing packages (root session pipeline, corpus worker
-# pool, parallel ml fitting, memoized placement, pooled evaluation
-# matrix, observability registries shared across workers, the serving
+# pool, parallel ml fitting, memoized placement, the per-application
+# evaluation lanes sharing one slot pool, observability registries
+# shared across workers, the serving
 # daemon's planner and the epoch re-plan lifecycle) under the race
 # detector, hold the compiled
 # inference engine to zero allocations per single-point predict and
@@ -63,7 +64,7 @@ fi
 echo "== go test ./... (60s per-package timeout)"
 go test -timeout 60s ./...
 
-echo "== go test -race (root session pipeline + corpus, ml, placement, experiments, obs, hm, task)"
+echo "== go test -race (root session pipeline + corpus, ml, placement, experiments, obs, hm, task, store, serve, model, registry, gate, rcache)"
 # The race detector slows the evaluation matrix ~10x, so this tier gets a
 # scaled bound; it still fails fast on a genuine hang.
 go test -race -timeout 600s . ./internal/corpus ./internal/ml ./internal/placement \
@@ -85,7 +86,10 @@ echo "== pipeline identity smoke (Workers=1 vs Workers=8 byte-identical)"
 # The tentpole invariant: overlap must change scheduling only, never
 # results. TestRunPipelineIdentity runs the quick pipeline at both
 # worker counts plus the sequential Prepare->RunEvaluation reference and
-# requires identical models, corpora and evaluation matrices.
+# requires identical models, corpora and evaluation matrices, and
+# identical CV search scores from both entry points (the pipelined
+# search and merchbench's unpipelined -cv search on Prepare's
+# artifacts).
 go test -timeout 300s -count=1 -run '^TestRunPipelineIdentity$' ./internal/experiments
 
 echo "== replan race tier (epoch lifecycle + concurrent study cells)"

@@ -13,9 +13,11 @@
 // Endpoints: /healthz (liveness), /readyz (200 while ≥1 replica is
 // routable), /metricsz (gate counters), /fleetz (per-replica health and
 // serving model version/sha), /place (proxied placement request; routed
-// by the X-Merch-Key header, else the first task's name). A request
-// whose primary replica fails to connect hops to at most two further
-// ring nodes; two consecutive failures eject a replica.
+// by the X-Merch-Key header, else the SHA-256 of the body). The gate
+// never parses a request: a replica judges it, and with -cache-entries
+// set the gate replays a replica's 200 body only for a byte-identical
+// request. A request whose primary replica fails to connect hops to at
+// most two further ring nodes; two consecutive failures eject a replica.
 //
 // The repo's one benchmark, perfbench, measures the gate under load
 // (see perfbench/README.md).
@@ -44,7 +46,7 @@ func main() {
 	probe := flag.Duration("probe", 250*time.Millisecond, "/readyz health-probe interval")
 	readmit := flag.Int("readmit", 2, "consecutive probe successes that re-admit a replica")
 	timeout := flag.Duration("timeout", 15*time.Second, "per proxied request timeout")
-	cacheEntries := flag.Int("cache-entries", 0, "gate response-cache capacity: identical requests are answered from cached replica bodies while the fleet serves one model SHA (0 disables)")
+	cacheEntries := flag.Int("cache-entries", 0, "gate response-cache capacity: byte-identical request bodies are answered from cached replica 200 bodies while the fleet serves one model SHA (0 disables)")
 	addrfile := flag.String("addrfile", "", "write the bound listen address to this file once serving")
 	flag.Parse()
 

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"merchandiser/internal/access"
@@ -52,6 +53,15 @@ func smallDMRG(t *testing.T) *DMRG {
 func smallNWChem(t *testing.T) *NWChemTC {
 	t.Helper()
 	app, err := NewNWChemTC(NWChemTCConfig{Tasks: 6, Tiles: 24, TileDim: 16, Instances: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return app
+}
+
+func smallPhaseShift(t *testing.T) *PhaseShiftApp {
+	t.Helper()
+	app, err := NewPhaseShift(PhaseShiftConfig{Tasks: 4, StreamElems: 4 << 10, GatherElems: 4 << 10, Instances: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +194,16 @@ func TestResultsAreDeterministicAcrossConstruction(t *testing.T) {
 	for i := range cs1 {
 		if cs1[i] == 0 || cs1[i] != cs2[i] {
 			t.Fatalf("instance %d checksum %v vs %v", i, cs1[i], cs2[i])
+		}
+	}
+	p1, p2 := smallPhaseShift(t), smallPhaseShift(t)
+	ps1, ps2 := p1.Checksums(), p2.Checksums()
+	if len(ps1) != p1.NumInstances() {
+		t.Fatalf("PhaseShift checksum rows = %d, want %d", len(ps1), p1.NumInstances())
+	}
+	for i := range ps1 {
+		if !slices.Equal(ps1[i], ps2[i]) {
+			t.Fatalf("PhaseShift instance %d checksums %v vs %v", i, ps1[i], ps2[i])
 		}
 	}
 }

@@ -49,8 +49,6 @@ func (MemoryMode) MemoryMode() bool { return true }
 type DaemonConfig struct {
 	// SampleEvents bounds profiling observations per interval.
 	SampleEvents int
-	// ThermostatRegionPages is the DRAM profiler's region size in pages.
-	ThermostatRegionPages int
 	// MaxMigrationsPerTick throttles migration traffic.
 	MaxMigrationsPerTick int
 	// RegionPages is the migration granularity in pages. The real
@@ -62,15 +60,15 @@ type DaemonConfig struct {
 	Seed        int64
 }
 
+// thermostatRegionPages is the DRAM profiler's region size in pages.
+const thermostatRegionPages = 8
+
 func (c DaemonConfig) withDefaults() DaemonConfig {
 	if c.SampleEvents <= 0 {
 		// Sampling is deliberately sparse: the real profiler bounds its
 		// PTE-scan work, and the paper names the resulting bias — heavy
 		// tasks dominate the samples — as a root cause of PGO imbalance.
 		c.SampleEvents = 512
-	}
-	if c.ThermostatRegionPages <= 0 {
-		c.ThermostatRegionPages = 8
 	}
 	if c.MaxMigrationsPerTick <= 0 {
 		c.MaxMigrationsPerTick = 1024
@@ -119,7 +117,7 @@ func NewDaemon(cfg DaemonConfig) *Daemon {
 	return &Daemon{
 		cfg:               cfg,
 		sampler:           profiler.NewAccessBitSampler(cfg.SampleEvents, cfg.Seed),
-		thermo:            profiler.NewThermostat(cfg.ThermostatRegionPages, cfg.Seed+1),
+		thermo:            profiler.NewThermostat(thermostatRegionPages, cfg.Seed+1),
 		scores:            map[*hm.Object][]float64{},
 		MigrationsByOwner: map[string]uint64{},
 	}

@@ -361,19 +361,12 @@ func (d *DirectMappedPageCache) HitRatio() float64 {
 	return float64(d.Hits) / float64(total)
 }
 
-// ExpectedHitRatio is the closed-form steady-state hit ratio used by the
-// engine's fast path: for a working set of wsPages pages accessed with
-// locality parameter reuse (fraction of accesses that re-touch a recently
-// used page), the direct-mapped page cache hits when the page maps to a
-// frame it still occupies. Under uniform mapping the resident fraction is
-// min(1, frames/wsPages), degraded by conflict misses that grow with
-// occupancy.
-func (d *DirectMappedPageCache) ExpectedHitRatio(wsPages float64) float64 {
-	return ExpectedDirectMappedHitRatio(float64(d.numFrames), wsPages)
-}
-
-// ExpectedDirectMappedHitRatio is the standalone closed form behind
-// (*DirectMappedPageCache).ExpectedHitRatio.
+// ExpectedDirectMappedHitRatio is the closed-form steady-state hit ratio
+// of a direct-mapped page cache of frames frames, used by the engine's
+// fast path: for a working set of wsPages pages, the cache hits when the
+// page maps to a frame it still occupies. Under uniform mapping the
+// resident fraction is min(1, frames/wsPages), degraded by conflict
+// misses that grow with occupancy.
 func ExpectedDirectMappedHitRatio(frames, wsPages float64) float64 {
 	if wsPages <= 0 || frames <= 0 {
 		return 1

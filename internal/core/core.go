@@ -47,11 +47,6 @@ type Config struct {
 	Daemon baseline.DaemonConfig
 	// Algorithm tunes Algorithm 1 (default 5% step).
 	Algorithm placement.Config
-	// SamplerRate is the PEBS sampling period for α refinement.
-	SamplerRate float64
-	// OfflineStepSec is the simulation step for the offline basic-block
-	// measurements.
-	OfflineStepSec float64
 	// DisableRefinement turns off the online α refinement (ablation:
 	// input-dependent patterns stay at α = 1).
 	DisableRefinement bool
@@ -73,13 +68,15 @@ type Config struct {
 	Obs *obs.Registry
 }
 
+// samplerRate is the PEBS sampling period for α refinement, and
+// offlineStepSec the simulation step of the offline basic-block
+// measurements.
+const (
+	samplerRate    = 2000
+	offlineStepSec = 0.002
+)
+
 func (c Config) withDefaults() Config {
-	if c.SamplerRate <= 0 {
-		c.SamplerRate = 2000
-	}
-	if c.OfflineStepSec <= 0 {
-		c.OfflineStepSec = 0.002
-	}
 	if c.Perf == nil {
 		c.Perf = &model.PerfModel{}
 	}
@@ -185,7 +182,7 @@ func New(cfg Config) *Merchandiser {
 	return &Merchandiser{
 		cfg:     cfg,
 		daemon:  d,
-		sampler: pmc.NewSampler(cfg.SamplerRate, cfg.Seed+11),
+		sampler: pmc.NewSampler(samplerRate, cfg.Seed+11),
 	}
 }
 
@@ -313,7 +310,7 @@ func (m *Merchandiser) measureBlocksGrouped(ctx context.Context, works []hm.Task
 			if len(group) == 0 {
 				continue
 			}
-			eng := &hm.Engine{Mem: scratch, StepSec: m.cfg.OfflineStepSec}
+			eng := &hm.Engine{Mem: scratch, StepSec: offlineStepSec}
 			res, err := eng.Run(ctx, group)
 			if err != nil {
 				return fmt.Errorf("core: offline block measurement: %w", err)

@@ -279,11 +279,6 @@ type BuildConfig struct {
 	// Placements is the number of hybrid placements per region (10 in the
 	// paper).
 	Placements int
-	// TrainScale and SeedScale are the input scales for target generation
-	// and for PMC collection; the paper deliberately uses different
-	// inputs for the two.
-	TrainScale float64
-	SeedScale  float64
 	// StepSec for the simulation runs.
 	StepSec float64
 	Seed    int64
@@ -310,15 +305,17 @@ type BuildConfig struct {
 	Obs *obs.Registry
 }
 
+// trainScale and seedScale are the input scales for target generation
+// and for PMC collection; the paper deliberately uses different inputs
+// for the two.
+const (
+	trainScale = 1
+	seedScale  = 0.6
+)
+
 func (c BuildConfig) withDefaults() BuildConfig {
 	if c.Placements <= 0 {
 		c.Placements = 10
-	}
-	if c.TrainScale <= 0 {
-		c.TrainScale = 1
-	}
-	if c.SeedScale <= 0 {
-		c.SeedScale = 0.6
 	}
 	if c.StepSec <= 0 {
 		c.StepSec = 0.002
@@ -578,11 +575,11 @@ func runPlacement(ctx context.Context, reg Region, spec hm.SystemSpec, scale, dr
 func buildRegion(ctx context.Context, reg Region, spec hm.SystemSpec, cfg BuildConfig, regionSeed int64) ([]Sample, error) {
 	seed := cfg.Seed + regionSeed*101
 
-	pmCtr, err := runHomogeneous(ctx, reg, spec, cfg.TrainScale, hm.PM, cfg.StepSec, seed)
+	pmCtr, err := runHomogeneous(ctx, reg, spec, trainScale, hm.PM, cfg.StepSec, seed)
 	if err != nil {
 		return nil, err
 	}
-	dramCtr, err := runHomogeneous(ctx, reg, spec, cfg.TrainScale, hm.DRAM, cfg.StepSec, seed)
+	dramCtr, err := runHomogeneous(ctx, reg, spec, trainScale, hm.DRAM, cfg.StepSec, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -597,7 +594,7 @@ func buildRegion(ctx context.Context, reg Region, spec hm.SystemSpec, cfg BuildC
 
 	// Workload characteristics come from a *seed input* run on PM only —
 	// a different input than the one targets are generated with (§5.1).
-	seedCtr, err := runHomogeneous(ctx, reg, spec, cfg.SeedScale, hm.PM, cfg.StepSec, seed+7)
+	seedCtr, err := runHomogeneous(ctx, reg, spec, seedScale, hm.PM, cfg.StepSec, seed+7)
 	if err != nil {
 		return nil, err
 	}
@@ -606,7 +603,7 @@ func buildRegion(ctx context.Context, reg Region, spec hm.SystemSpec, cfg BuildC
 	var out []Sample
 	for p := 0; p < cfg.Placements; p++ {
 		frac := (float64(p) + 0.5) / float64(cfg.Placements)
-		ctr, err := runPlacement(ctx, reg, spec, cfg.TrainScale, frac, cfg.StepSec, seed)
+		ctr, err := runPlacement(ctx, reg, spec, trainScale, frac, cfg.StepSec, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -2,22 +2,25 @@ package gate
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"merchandiser"
 	"merchandiser/internal/obs"
 	"merchandiser/internal/serve"
 )
 
 // waitConverged blocks until the gate's probers agree on one model SHA
 // (the precondition for the response cache to engage).
-func waitConverged(t *testing.T, g *Gate, want string) {
+func waitConverged(t testing.TB, g *Gate, want string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for g.convergedSHA() != want {
@@ -30,7 +33,7 @@ func waitConverged(t *testing.T, g *Gate, want string) {
 
 // doPlaceRaw posts a body and returns the full response: status, headers
 // and bytes, so tests can inspect cache markers and replayed headers.
-func doPlaceRaw(t *testing.T, url, key, body string) (*http.Response, []byte) {
+func doPlaceRaw(t testing.TB, url, key, body string) (*http.Response, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url+"/place", strings.NewReader(body))
 	if err != nil {
@@ -114,10 +117,85 @@ func TestGateCacheRoutingKeyDoesNotSplitCache(t *testing.T) {
 	}
 }
 
+// fwdBody is a two-task request; revBody has its tasks reversed,
+// altBody re-renders it (field order, number formats), and bogusBody
+// adds a field the request schema does not have.
+const (
+	fwdBody = `{"tasks":[` +
+		`{"name":"t0","t_pm_only":2,"t_dram_only":0.8,"total_accesses":4e6,"footprint_pages":300},` +
+		`{"name":"t1","t_pm_only":3,"t_dram_only":1.1,"total_accesses":5e6,"footprint_pages":400}]}`
+	revBody = `{"tasks":[` +
+		`{"name":"t1","t_pm_only":3,"t_dram_only":1.1,"total_accesses":5e6,"footprint_pages":400},` +
+		`{"name":"t0","t_pm_only":2,"t_dram_only":0.8,"total_accesses":4e6,"footprint_pages":300}]}`
+	altBody = `{"tasks":[` +
+		`{"footprint_pages":300,"total_accesses":4000000,"t_dram_only":0.8,"t_pm_only":2.0,"name":"t0"},` +
+		`{"footprint_pages":400,"total_accesses":5000000,"t_dram_only":1.1,"t_pm_only":3.0,"name":"t1"}]}`
+	bogusBody = `{"tasks":[` +
+		`{"name":"t0","t_pm_only":2,"t_dram_only":0.8,"total_accesses":4e6,"footprint_pages":300},` +
+		`{"name":"t1","t_pm_only":3,"t_dram_only":1.1,"total_accesses":5e6,"footprint_pages":400,"bogus":1}]}`
+)
+
+// realReplica serves a serve.Service with its response cache off and a
+// TrainNone system's artifact loaded, so its /readyz reports a SHA the
+// gate's cache can converge on. It returns the server and that SHA.
+func realReplica(t testing.TB) (*httptest.Server, string) {
+	t.Helper()
+	sys, err := merchandiser.NewSystem(merchandiser.DefaultSpec(), merchandiser.TrainNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sys.merch")
+	if err := sys.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	s := serve.New(serve.Config{})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	})
+	if _, err := s.LoadArtifact(context.Background(), serve.ArtifactRef{Path: path, Version: "v1"}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler(serve.HTTPConfig{}))
+	t.Cleanup(srv.Close)
+	return srv, s.Info().SHA256
+}
+
+// TestGateCacheNeverAnswersARejectedBody: once a body has warmed the
+// gate cache, the same request with a field the schema does not have
+// must reach the replica and get its 400, not the warm entry: a lax
+// decode at the gate would map both bodies to one key.
+func TestGateCacheNeverAnswersARejectedBody(t *testing.T) {
+	rep, sha := realReplica(t)
+	g := testGate(t, Config{Backends: []string{rep.URL}, CacheEntries: 128})
+	waitReady(t, g)
+	waitConverged(t, g, sha)
+	front := httptest.NewServer(g.Handler())
+	defer front.Close()
+
+	doPlaceRaw(t, front.URL, "", fwdBody)
+	resp, _ := doPlaceRaw(t, front.URL, "", fwdBody)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(CacheHeader) != "hit" {
+		t.Fatalf("repeat of the plain body: status %d, %s=%q; want a 200 cache hit", resp.StatusCode, CacheHeader, resp.Header.Get(CacheHeader))
+	}
+	resp, body := doPlaceRaw(t, front.URL, "", bogusBody)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown-field body: status %d, want the replica's 400: %s", resp.StatusCode, body)
+	}
+	if h := resp.Header.Get(CacheHeader); h != "" {
+		t.Fatalf("unknown-field body marked %s=%q", CacheHeader, h)
+	}
+}
+
 func TestGateCacheOrderSensitiveKey(t *testing.T) {
 	// The gate replays serialized bodies verbatim, so its key must be
 	// order-sensitive: the same tasks in a different order is NOT a hit
 	// (the cached body's task order would be wrong for this caller).
+	// The key is the body's bytes, so a re-rendering of the same request
+	// misses too and is left to the replica's canonical cache.
 	a := newFakeReplica(t, "v1")
 	g := testGate(t, Config{Backends: []string{a.srv.URL}, CacheEntries: 128})
 	waitReady(t, g)
@@ -125,25 +203,18 @@ func TestGateCacheOrderSensitiveKey(t *testing.T) {
 	front := httptest.NewServer(g.Handler())
 	defer front.Close()
 
-	fwd := `{"tasks":[` +
-		`{"name":"t0","t_pm_only":2,"t_dram_only":0.8,"total_accesses":4e6,"footprint_pages":300},` +
-		`{"name":"t1","t_pm_only":3,"t_dram_only":1.1,"total_accesses":5e6,"footprint_pages":400}]}`
-	rev := `{"tasks":[` +
-		`{"name":"t1","t_pm_only":3,"t_dram_only":1.1,"total_accesses":5e6,"footprint_pages":400},` +
-		`{"name":"t0","t_pm_only":2,"t_dram_only":0.8,"total_accesses":4e6,"footprint_pages":300}]}`
-	doPlaceRaw(t, front.URL, "k", fwd)
-	resp, _ := doPlaceRaw(t, front.URL, "k", rev)
+	doPlaceRaw(t, front.URL, "k", fwdBody)
+	resp, _ := doPlaceRaw(t, front.URL, "k", revBody)
 	if h := resp.Header.Get(CacheHeader); h != "" {
 		t.Fatalf("permuted body served from cache (%s=%q); gate keys must be order-sensitive", CacheHeader, h)
 	}
-	// But a byte-different rendering of the SAME order is a hit: the
-	// canonical encoding ignores JSON field order and float formatting.
-	alt := `{"tasks":[` +
-		`{"footprint_pages":300,"total_accesses":4000000,"t_dram_only":0.8,"t_pm_only":2.0,"name":"t0"},` +
-		`{"footprint_pages":400,"total_accesses":5000000,"t_dram_only":1.1,"t_pm_only":3.0,"name":"t1"}]}`
-	resp2, _ := doPlaceRaw(t, front.URL, "k", alt)
-	if h := resp2.Header.Get(CacheHeader); h != "hit" {
-		t.Fatalf("re-rendered identical request missed (%s=%q); canonical hashing should ignore JSON formatting", CacheHeader, h)
+	before := a.places.Load()
+	resp2, _ := doPlaceRaw(t, front.URL, "k", altBody)
+	if h := resp2.Header.Get(CacheHeader); h != "" {
+		t.Fatalf("re-rendered body served from cache (%s=%q); the gate key is the body's bytes", CacheHeader, h)
+	}
+	if a.places.Load() != before+1 {
+		t.Fatal("re-rendered body was not forwarded to the replica")
 	}
 }
 

@@ -2,6 +2,7 @@ package gate
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"io"
@@ -22,9 +23,9 @@ import (
 // maxBodyBytes bounds a proxied /place body, matching the replica limit.
 const maxBodyBytes = 1 << 20
 
-// KeyHeader names the routing key header. When absent, the gate falls
-// back to the first task's name — per-app streams hash to the same
-// replica either way.
+// KeyHeader names the routing key header. When absent, the gate routes
+// on the SHA-256 of the request body, so identical bodies land on the
+// same replica and find its response cache warm.
 const KeyHeader = "X-Merch-Key"
 
 // vnodes is the virtual-node count per replica on the hash ring.
@@ -53,8 +54,8 @@ type Config struct {
 	// Timeout caps one proxied request. Default 15s.
 	Timeout time.Duration
 	// CacheEntries bounds the gate's response cache: serialized upstream
-	// 200 bodies keyed on (fleet-converged model SHA, order-sensitive
-	// request hash), served without touching any replica. Caching engages
+	// 200 bodies keyed on (fleet-converged model SHA, SHA-256 of the
+	// request body), served without touching any replica. Caching engages
 	// only while every healthy replica reports the same non-empty SHA. 0
 	// (the default) disables the cache and leaves the gate byte-identical
 	// to a build without it.
@@ -134,10 +135,9 @@ type Gate struct {
 	backends []*backend
 	client   *http.Client
 
-	// cache/flight/hashers exist only when Config.CacheEntries > 0.
-	cache   *rcache.Cache
-	flight  *rcache.Group
-	hashers sync.Pool
+	// cache/flight exist only when Config.CacheEntries > 0.
+	cache  *rcache.Cache
+	flight *rcache.Group
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -158,7 +158,6 @@ func New(cfg Config) *Gate {
 	if cfg.CacheEntries > 0 {
 		g.cache = rcache.New(rcache.Config{Entries: cfg.CacheEntries, Obs: cfg.Obs, Metric: "gate.cache_"})
 		g.flight = &rcache.Group{}
-		g.hashers.New = func() any { return rcache.NewHasher() }
 	}
 	for _, u := range cfg.Backends {
 		b := &backend{url: strings.TrimRight(u, "/")}
@@ -270,21 +269,13 @@ func (g *Gate) Fleet() []BackendStatus {
 	return out
 }
 
-// routeKey extracts the consistent-hash key: the KeyHeader if set, else
-// the first task's name from the (already-read) body.
-func routeKey(r *http.Request, body []byte) string {
+// routeKey is the consistent-hash key: the KeyHeader if set, else the
+// body's digest.
+func routeKey(r *http.Request, digest rcache.Digest) string {
 	if k := r.Header.Get(KeyHeader); k != "" {
 		return k
 	}
-	var req struct {
-		Tasks []struct {
-			Name string `json:"name"`
-		} `json:"tasks"`
-	}
-	if err := json.Unmarshal(body, &req); err == nil && len(req.Tasks) > 0 {
-		return req.Tasks[0].Name
-	}
-	return ""
+	return string(digest[:])
 }
 
 // isConnError classifies failures that justify hopping to the next ring
@@ -450,43 +441,28 @@ func (g *Gate) convergedSHA() string {
 	return sha
 }
 
-// cacheKey parses and canonically hashes a request body. ok is false
-// when the body is not a cacheable placement request (malformed JSON,
-// no tasks, oversized) — those flow straight to a replica for its
-// verdict.
-func (g *Gate) cacheKey(modelSHA string, body []byte) (rcache.Key, bool) {
-	var req serve.PlacementRequest
-	if err := json.Unmarshal(body, &req); err != nil || len(req.Tasks) == 0 || len(req.Tasks) > 1<<12 {
-		return rcache.Key{}, false
-	}
-	h := g.hashers.Get().(*rcache.Hasher)
-	digest, perm := h.Hash(&req)
-	ordered := h.OrderedDigest(digest, perm)
-	g.hashers.Put(h)
-	return rcache.Key{Model: modelSHA, Request: ordered}, true
-}
-
 // handlePlace answers one client /place: response cache first (when
 // configured and the fleet is converged), then singleflight-collapsed
-// forwarding along the ring.
+// forwarding along the ring. The body stays opaque bytes: its SHA-256
+// is the cache key's request half, and only the replica parses and
+// judges it, so a cached answer is the replica's answer to exactly
+// these bytes.
 func (g *Gate) handlePlace(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	key := routeKey(r, body)
+	digest := rcache.Digest(sha256.Sum256(body))
+	key := routeKey(r, digest)
 	g.cfg.Obs.Counter("gate.requests").Inc()
 
 	if g.cache != nil {
 		if sha := g.convergedSHA(); sha != "" {
-			if ckey, ok := g.cacheKey(sha, body); ok {
-				g.placeCached(w, r, body, key, ckey)
-				return
-			}
-		} else {
-			g.cfg.Obs.Counter("gate.cache_unconverged").Inc()
+			g.placeCached(w, r, body, key, rcache.Key{Model: sha, Request: digest})
+			return
 		}
+		g.cfg.Obs.Counter("gate.cache_unconverged").Inc()
 	}
 	if res := g.forward(r, body, key); res != nil {
 		writeUpstream(w, res)

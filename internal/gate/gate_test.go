@@ -73,7 +73,7 @@ func newFakeReplica(t *testing.T, version string) *fakeReplica {
 	return f
 }
 
-func testGate(t *testing.T, cfg Config) *Gate {
+func testGate(t testing.TB, cfg Config) *Gate {
 	t.Helper()
 	if cfg.HealthInterval == 0 {
 		cfg.HealthInterval = 10 * time.Millisecond
@@ -89,7 +89,7 @@ func testGate(t *testing.T, cfg Config) *Gate {
 	return g
 }
 
-func waitReady(t *testing.T, g *Gate) {
+func waitReady(t testing.TB, g *Gate) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for !g.Ready() {
@@ -299,7 +299,7 @@ func TestGateRejectsWhenFleetDown(t *testing.T) {
 	}
 }
 
-func TestGateRouteKeyFallsBackToTaskName(t *testing.T) {
+func TestGateRouteKeyFallsBackToBodyDigest(t *testing.T) {
 	a := newFakeReplica(t, "v1")
 	b := newFakeReplica(t, "v1")
 	g := testGate(t, Config{Backends: []string{a.srv.URL, b.srv.URL}})
@@ -307,7 +307,7 @@ func TestGateRouteKeyFallsBackToTaskName(t *testing.T) {
 	front := httptest.NewServer(g.Handler())
 	defer front.Close()
 
-	// No header: the first task's name is the key, so repeats stick.
+	// No header: the body's digest is the key, so identical repeats stick.
 	var firstA, firstB int64
 	if _, code := doPlace(t, front.URL, ""); code != http.StatusOK {
 		t.Fatalf("status %d", code)

@@ -60,9 +60,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	return r
 }
 
-// Nodes returns the ring's replica set in construction order.
-func (r *Ring) Nodes() []string { return r.nodes }
-
 // Sequence returns up to max distinct node indices in ring order
 // starting at key's position: the primary replica first, then the
 // fallbacks a bounded retry walks.

@@ -170,9 +170,6 @@ type FlatModel struct {
 	Meta  FlatMeta
 }
 
-// NumTrees returns the tree count of the flat table.
-func (f *FlatModel) NumTrees() int { return len(f.Roots) }
-
 // LoadOptions re-attaches the runtime knobs a flat model does not carry.
 type LoadOptions struct {
 	// Workers bounds PredictAll concurrency of the loaded model (0 uses

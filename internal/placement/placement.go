@@ -90,20 +90,18 @@ type Config struct {
 	// Step is the DRAM-access increment per inner iteration as a fraction
 	// of the task's total accesses; the paper uses 5%.
 	Step float64
-	// MaxRounds bounds the outer loop defensively.
-	MaxRounds int
 	// Obs, when non-nil, receives planner metrics: rounds, per-round grant
 	// ratio deltas, memoized-prediction hit rates and the predicted
 	// makespan. Deterministic for identical inputs.
 	Obs *obs.Registry
 }
 
+// maxRounds bounds Algorithm 1's outer loop defensively.
+const maxRounds = 10000
+
 func (c Config) withDefaults() Config {
 	if c.Step <= 0 {
 		c.Step = 0.05
-	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 10000
 	}
 	return c
 }
@@ -370,7 +368,7 @@ func GreedyLoadBalance(tasks []TaskInput, dc uint64, perf *model.PerfModel, cfg 
 
 	// full marks tasks whose DRAM access goal reached 100%.
 	full := make([]bool, n)
-	for round := 0; round < cfg.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		// Line 10: pick the longest predicted task that can still grow.
 		longest := -1
 		for i := 0; i < n; i++ {

@@ -257,7 +257,7 @@ func referenceGreedy(tasks []TaskInput, dc uint64, perf *model.PerfModel, cfg Co
 		return perf.Predict(t.TPmOnly, t.TDramOnly, t.Events, r)
 	}
 	full := make([]bool, n)
-	for round := 0; round < cfg.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		longest := -1
 		for i := 0; i < n; i++ {
 			if full[i] {

@@ -10,7 +10,7 @@ import (
 )
 
 // Key identifies one cached placement response: the serving model
-// artifact's SHA-256 (hex) and the request's canonical digest. A model
+// artifact's SHA-256 (hex) and the request's Digest. A model
 // promotion changes Model on every new key, so old entries become
 // unreachable without an explicit invalidation; a rollback restores the
 // old Model and the surviving entries are exact again — the cached plan

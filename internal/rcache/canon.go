@@ -4,7 +4,7 @@
 // trained model and the request — the size-ratio predictor plus greedy
 // Algorithm 1 is deterministic — so a response cached under the key
 //
-//	(model artifact SHA-256, canonical request hash)
+//	(model artifact SHA-256, request digest)
 //
 // is exact, never stale, and self-invalidating: promoting a new model
 // changes the SHA half of every key, orphaning old entries without any
@@ -15,9 +15,11 @@
 //   - A canonical binary encoding of a placement request's tasks
 //     (EncodeTasks / Hasher): tasks in a canonical sorted order,
 //     fixed-width little-endian floats, length-prefixed strings, events
-//     sorted by name. Two requests that differ only in task order or in
-//     JSON formatting hash identically; any semantic field change
-//     changes the hash.
+//     sorted by name. The replica's digest is its SHA-256: two requests
+//     that differ only in task order or in JSON formatting hash
+//     identically; any semantic field change changes the hash. The gate
+//     replays stored bodies verbatim and never parses a request, so its
+//     digest is the SHA-256 of the body's bytes instead.
 //   - Cache, a sharded, bounded LRU over those keys (power-of-two shard
 //     count, per-shard mutex, per-shard LRU eviction).
 //   - Group, a singleflight layer that collapses concurrent identical
@@ -35,7 +37,8 @@ import (
 	"merchandiser/internal/merr"
 )
 
-// Digest is the SHA-256 of a request's canonical encoding.
+// Digest is a request's SHA-256: of its canonical encoding at the
+// replica, of its body's bytes at the gate.
 type Digest [32]byte
 
 // Task is the canonical field set of one placement-request task — the
@@ -327,21 +330,4 @@ func (h *Hasher) Hash(tl TaskList) (Digest, []int) {
 	var d Digest
 	copy(d[:], h.h.Sum(h.sum[:0]))
 	return d, h.perm
-}
-
-// OrderedDigest folds the caller's task order into a canonical digest:
-// sha256(digest | perm as LE u32s). Callers that cache whole serialized
-// response bodies (the gate) need this — a body replays verbatim, so
-// two requests with the same task set in different orders must key
-// differently, while JSON formatting differences still collapse.
-func (h *Hasher) OrderedDigest(d Digest, perm []int) Digest {
-	h.h.Reset()
-	h.h.Write(d[:])
-	for _, p := range perm {
-		binary.LittleEndian.PutUint32(h.head[:4], uint32(p))
-		h.h.Write(h.head[:4])
-	}
-	var out Digest
-	copy(out[:], h.h.Sum(h.sum[:0]))
-	return out
 }

@@ -77,9 +77,6 @@ func Open(root string) (*Registry, error) {
 	return &Registry{root: root}, nil
 }
 
-// Root returns the registry's root directory.
-func (r *Registry) Root() string { return r.root }
-
 // validVersion bounds version names to safe path components: the same
 // character set as artifact section names, no traversal, max 64 bytes.
 func validVersion(v string) bool {

@@ -263,36 +263,10 @@ func PermuteAndTranspose(m *CSR, seed int64) (p, pt *CSR) {
 	return Transpose(pt), pt
 }
 
-// NNZBins partitions rows into bins with roughly equal *non-zero* counts
-// (Ginkgo's balancing strategy). The remaining imbalance then comes from
-// the gather work per non-zero, which row counting cannot see.
-func NNZBins(m *CSR, bins int) [][2]int {
-	if bins < 1 {
-		bins = 1
-	}
-	out := make([][2]int, bins)
-	per := (m.NNZ() + bins - 1) / bins
-	row := 0
-	for b := 0; b < bins; b++ {
-		lo := row
-		target := int32((b + 1) * per)
-		for row < m.Rows && m.RowPtr[row+1] < target {
-			row++
-		}
-		if row < m.Rows {
-			row++
-		}
-		if b == bins-1 {
-			row = m.Rows
-		}
-		out[b] = [2]int{lo, row}
-	}
-	return out
-}
-
 // WeightedBins partitions rows into bins balancing the mixed weight
 // nnz + vertexWeight·rows. It interpolates between RowBins (vertexWeight
-// → ∞) and NNZBins (vertexWeight = 0): the partial balance real graph
+// → ∞) and bins of near-equal non-zero counts, Ginkgo's balancing
+// strategy (vertexWeight = 0): the partial balance real graph
 // partitioners achieve, which leaves the hub partitions heavier without
 // RowBins' pathological skew.
 func WeightedBins(m *CSR, bins int, vertexWeight float64) [][2]int {

@@ -299,7 +299,7 @@ func TestWeightedBinsInterpolates(t *testing.T) {
 		}
 		return maxNNZ, minNNZ
 	}
-	// vertexWeight = 0 behaves like NNZBins (near-equal edges).
+	// vertexWeight = 0 balances non-zeros alone (near-equal edges).
 	mx0, mn0 := check(WeightedBins(g, 8, 0))
 	// Large vertexWeight approaches RowBins (hub-skewed).
 	mxBig, _ := check(WeightedBins(g, 8, 1e9))

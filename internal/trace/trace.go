@@ -56,9 +56,6 @@ func (r *Recorder) Alloc(name string, size uint64) (*Region, error) {
 	return reg, nil
 }
 
-// Regions returns the intercepted allocations in order.
-func (r *Recorder) Regions() []*Region { return r.regions }
-
 // Touch records an access to byte offset off of the region. write marks
 // stores.
 func (r *Recorder) Touch(reg *Region, off uint64, write bool) {

@@ -20,7 +20,9 @@
 # reload, then a second cache-enabled leg asserting zero stale
 # responses and a nonzero gate hit rate across the promotion), hold the
 # response-cache hot path (canonical hash + LRU lookup) to zero
-# allocations, smoke the canonical-encoding fuzz target, hold
+# allocations, smoke the canonical-encoding fuzz target and
+# FuzzGateCacheMatchesReplica (a cache-enabled gate answers every body
+# with the status and bytes its replica would), hold
 # internal/obs to a coverage floor, and vet and short-test the
 # benchmark (perfbench is its own module, so `go test ./...` never
 # builds it; this stanza catches library changes that break it). Every
@@ -159,6 +161,13 @@ go test -timeout 60s ./internal/rcache -run '^TestHashAndGetZeroAllocs$' -count=
 
 echo "== fuzz smoke (FuzzCanonicalEncode, 10s)"
 go test -timeout 60s ./internal/rcache -run '^$' -fuzz '^FuzzCanonicalEncode$' -fuzztime 10s
+
+echo "== fuzz smoke (FuzzGateCacheMatchesReplica, 10s)"
+# Each call makes three loopback HTTP round trips to a real replica, so
+# minimizing every new-coverage input would use up the 10s; with
+# minimization off the smoke spends it on new inputs. A failing input is
+# still saved under internal/gate/testdata/fuzz for replay.
+go test -timeout 60s ./internal/gate -run '^$' -fuzz '^FuzzGateCacheMatchesReplica$' -fuzztime 10s -fuzzminimizetime 0
 
 echo "== e2e save/load/serve smoke (merchserved)"
 go build -o bin/merchserved ./cmd/merchserved

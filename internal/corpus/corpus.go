@@ -519,10 +519,9 @@ func buildInto(ctx context.Context, regions []Region, spec hm.SystemSpec, cfg Bu
 }
 
 // runHomogeneous runs the region alone on a tier-homogeneous system and
-// returns its counters.
-func runHomogeneous(ctx context.Context, reg Region, spec hm.SystemSpec, scale float64, tier hm.TierID, step float64, seed int64) (hm.TaskCounters, error) {
-	hspec := hm.HomogeneousSpec(spec, tier)
-	mem := hm.NewMemory(hspec)
+// returns its counters. newMemory builds the run's Memory.
+func runHomogeneous(ctx context.Context, reg Region, spec hm.SystemSpec, newMemory func(hm.SystemSpec) *hm.Memory, scale float64, tier hm.TierID, step float64, seed int64) (hm.TaskCounters, error) {
+	mem := newMemory(hm.HomogeneousSpec(spec, tier))
 	tw, err := reg.Instantiate(mem, scale, hm.PM, seed)
 	if err != nil {
 		return hm.TaskCounters{}, err
@@ -536,12 +535,12 @@ func runHomogeneous(ctx context.Context, reg Region, spec hm.SystemSpec, scale f
 }
 
 // runPlacement runs the region with dramFrac of each object's pages in
-// DRAM and returns the counters.
-func runPlacement(ctx context.Context, reg Region, spec hm.SystemSpec, scale, dramFrac float64, step float64, seed int64) (hm.TaskCounters, error) {
+// DRAM and returns the counters. newMemory builds the run's Memory.
+func runPlacement(ctx context.Context, reg Region, spec hm.SystemSpec, newMemory func(hm.SystemSpec) *hm.Memory, scale, dramFrac float64, step float64, seed int64) (hm.TaskCounters, error) {
 	// Give the hybrid run enough DRAM headroom for any fraction.
 	pspec := spec
 	pspec.Tiers[hm.DRAM].CapacityBytes = spec.Tiers[hm.PM].CapacityBytes
-	mem := hm.NewMemory(pspec)
+	mem := newMemory(pspec)
 	tw, err := reg.Instantiate(mem, scale, hm.PM, seed)
 	if err != nil {
 		return hm.TaskCounters{}, err
@@ -574,12 +573,25 @@ func runPlacement(ctx context.Context, reg Region, spec hm.SystemSpec, scale, dr
 
 func buildRegion(ctx context.Context, reg Region, spec hm.SystemSpec, cfg BuildConfig, regionSeed int64) ([]Sample, error) {
 	seed := cfg.Seed + regionSeed*101
+	// Each run builds its own Memory for the same objects and seeds, one
+	// after another on this goroutine, so they share the first one's
+	// page-weight memo.
+	var first *hm.Memory
+	newMemory := func(runSpec hm.SystemSpec) *hm.Memory {
+		mem := hm.NewMemory(runSpec)
+		if first == nil {
+			first = mem
+		} else {
+			mem.SharePageWeights(first)
+		}
+		return mem
+	}
 
-	pmCtr, err := runHomogeneous(ctx, reg, spec, trainScale, hm.PM, cfg.StepSec, seed)
+	pmCtr, err := runHomogeneous(ctx, reg, spec, newMemory, trainScale, hm.PM, cfg.StepSec, seed)
 	if err != nil {
 		return nil, err
 	}
-	dramCtr, err := runHomogeneous(ctx, reg, spec, trainScale, hm.DRAM, cfg.StepSec, seed)
+	dramCtr, err := runHomogeneous(ctx, reg, spec, newMemory, trainScale, hm.DRAM, cfg.StepSec, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -594,7 +606,7 @@ func buildRegion(ctx context.Context, reg Region, spec hm.SystemSpec, cfg BuildC
 
 	// Workload characteristics come from a *seed input* run on PM only —
 	// a different input than the one targets are generated with (§5.1).
-	seedCtr, err := runHomogeneous(ctx, reg, spec, seedScale, hm.PM, cfg.StepSec, seed+7)
+	seedCtr, err := runHomogeneous(ctx, reg, spec, newMemory, seedScale, hm.PM, cfg.StepSec, seed+7)
 	if err != nil {
 		return nil, err
 	}
@@ -603,7 +615,7 @@ func buildRegion(ctx context.Context, reg Region, spec hm.SystemSpec, cfg BuildC
 	var out []Sample
 	for p := 0; p < cfg.Placements; p++ {
 		frac := (float64(p) + 0.5) / float64(cfg.Placements)
-		ctr, err := runPlacement(ctx, reg, spec, trainScale, frac, cfg.StepSec, seed)
+		ctr, err := runPlacement(ctx, reg, spec, newMemory, trainScale, frac, cfg.StepSec, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -153,6 +153,19 @@ func (m *Memory) pageWeights(p access.Pattern, pages int, seed int64) []float64 
 	return w
 }
 
+// SharePageWeights makes m read and fill src's page-weight memo from
+// now on: Memories built one after another for the same objects and
+// seeds (the runs of one corpus region) then compute each Zipf weight
+// set once between them. The same key yields the same slice, so no run
+// sees other weights. Like the Memories themselves, the shared memo is
+// for one goroutine at a time.
+func (m *Memory) SharePageWeights(src *Memory) {
+	if src.weights == nil {
+		src.weights = map[weightKey][]float64{}
+	}
+	m.weights = src.weights
+}
+
 // Objects returns the registered objects in allocation order.
 func (m *Memory) Objects() []*Object { return m.objects }
 

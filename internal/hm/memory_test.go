@@ -281,3 +281,28 @@ func TestPageWeightsMemo(t *testing.T) {
 		t.Fatalf("%d memoized weight sets, want 5 distinct keys", len(m.weights))
 	}
 }
+
+// TestSharePageWeights: a Memory sharing another's page-weight memo
+// hands out the very slice the other computed for a key, and the other
+// sees what it computes; a Memory that shares nothing computes its own.
+func TestSharePageWeights(t *testing.T) {
+	zipf := access.Pattern{Kind: access.Random, ElemSize: 8, Skew: 0.5}
+	a, b := NewMemory(testSpec()), NewMemory(testSpec())
+	b.SharePageWeights(a) // before a has a memo of its own
+	wa := a.pageWeights(zipf, 100, 3)
+	if wb := b.pageWeights(zipf, 100, 3); &wb[0] != &wa[0] {
+		t.Fatal("sharing Memory computed its own weights for a key its source holds")
+	}
+	wb := b.pageWeights(zipf, 200, 3)
+	if wa := a.pageWeights(zipf, 200, 3); &wa[0] != &wb[0] {
+		t.Fatal("source Memory did not see the weights its sharer computed")
+	}
+	c := NewMemory(testSpec())
+	c.SharePageWeights(a) // after a's memo holds entries
+	if wc := c.pageWeights(zipf, 100, 3); &wc[0] != &wa[0] {
+		t.Fatal("second sharer computed its own weights")
+	}
+	if wd := NewMemory(testSpec()).pageWeights(zipf, 100, 3); &wd[0] == &wa[0] {
+		t.Fatal("a Memory that shares nothing got another's slice")
+	}
+}

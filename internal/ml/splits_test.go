@@ -29,6 +29,16 @@ func fittedEnsembles(t *testing.T, seed int64) []namedRegressor {
 	return []namedRegressor{{"gbr", gbr}, {"forest", forest}}
 }
 
+// indexThresholds is feature f's thresholds from m's split index; ok
+// is false when m has none.
+func indexThresholds(m Regressor, f int) ([]float64, bool) {
+	ix, ok := NewSplitIndex(m)
+	if !ok {
+		return nil, false
+	}
+	return ix.Thresholds(f), true
+}
+
 // pointerSplits collects feature f's thresholds from the fitted pointer
 // trees, the form the compiled tables were lowered from.
 func pointerSplits(m Regressor, f int) []float64 {
@@ -65,7 +75,7 @@ func TestSplitThresholdsSortedDistinct(t *testing.T) {
 	for _, nm := range fittedEnsembles(t, 3) {
 		name, m := nm.name, nm.m
 		for f := 0; f < 5; f++ {
-			ts, ok := SplitThresholds(m, f)
+			ts, ok := indexThresholds(m, f)
 			if !ok {
 				t.Fatalf("%s: feature %d reports no thresholds", name, f)
 			}
@@ -75,13 +85,13 @@ func TestSplitThresholdsSortedDistinct(t *testing.T) {
 				}
 			}
 			if want := pointerSplits(m, f); !slices.Equal(ts, want) {
-				t.Fatalf("%s: feature %d: table gives %d thresholds, trees split at %d", name, f, len(ts), len(want))
+				t.Fatalf("%s: feature %d: index gives %d thresholds, trees split at %d", name, f, len(ts), len(want))
 			}
 		}
-		if ts, _ := SplitThresholds(m, 0); len(ts) == 0 {
+		if ts, _ := indexThresholds(m, 0); len(ts) == 0 {
 			t.Fatalf("%s: no splits on the dominant feature 0", name)
 		}
-		if ts, ok := SplitThresholds(m, 99); !ok || len(ts) != 0 {
+		if ts, ok := indexThresholds(m, 99); !ok || len(ts) != 0 {
 			t.Fatalf("%s: an absent feature gives %d thresholds (ok=%v), want none", name, len(ts), ok)
 		}
 	}
@@ -101,8 +111,8 @@ func TestSplitThresholdsSurviveFlatRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for f := 0; f < 5; f++ {
-			want, _ := SplitThresholds(m, f)
-			got, ok := SplitThresholds(restored, f)
+			want, _ := indexThresholds(m, f)
+			got, ok := indexThresholds(restored, f)
 			if !ok || len(got) != len(want) {
 				t.Fatalf("%s: feature %d: restored gives %d thresholds (ok=%v), fitted %d", name, f, len(got), ok, len(want))
 			}
@@ -128,12 +138,12 @@ func TestSplitThresholdsNoneWithoutNodeTable(t *testing.T) {
 		if err := m.Fit(X, y); err != nil {
 			t.Fatal(err)
 		}
-		if ts, ok := SplitThresholds(m, 2); ok || ts != nil {
+		if ts, ok := indexThresholds(m, 2); ok || ts != nil {
 			t.Fatalf("%s reports thresholds %v (ok=%v)", m.Name(), ts, ok)
 		}
 	}
 	for _, m := range []Regressor{NewGradientBoosted(GBRConfig{}), NewRandomForest(ForestConfig{})} {
-		if _, ok := SplitThresholds(m, 0); ok {
+		if _, ok := indexThresholds(m, 0); ok {
 			t.Fatalf("unfitted %s reports thresholds", m.Name())
 		}
 	}
@@ -149,7 +159,7 @@ func TestSplitThresholdsIntervalProperty(t *testing.T) {
 	for _, nm := range fittedEnsembles(t, 6) {
 		name, m := nm.name, nm.m
 		for f := 0; f < 5; f++ {
-			ts, _ := SplitThresholds(m, f)
+			ts, _ := indexThresholds(m, f)
 			for _, row := range probe {
 				x := append([]float64(nil), row...)
 				k := rng.Intn(len(ts) + 1)

@@ -19,11 +19,11 @@ type CorrelationFunc struct {
 	Model  ml.Regressor
 	Events []string // hardware events used as workload characteristics
 
-	// splits caches RDramSplits: computed on first use, once per
-	// CorrelationFunc, and shared by every planner that uses it.
-	splitsOnce sync.Once
-	splits     []float64
-	splitsOK   bool
+	// index is the model's split index, nil unless the model is a tree
+	// ensemble: built on first use, once per CorrelationFunc, and shared
+	// by every planner that uses it.
+	indexOnce sync.Once
+	index     *ml.SplitIndex
 }
 
 // vecPool recycles the feature vectors Eval assembles. The compiled
@@ -36,7 +36,7 @@ var vecPool = sync.Pool{New: func() any { return new([]float64) }}
 func (c *CorrelationFunc) Eval(ev pmc.Counters, rdram float64) float64 {
 	buf := vecPool.Get().(*[]float64)
 	x := c.AppendVector((*buf)[:0], ev, rdram)
-	f := c.EvalVector(x)
+	f := clampF(c.Model.Predict(x))
 	*buf = x
 	vecPool.Put(buf)
 	return f
@@ -49,11 +49,11 @@ func (c *CorrelationFunc) AppendVector(dst []float64, ev pmc.Counters, rdram flo
 	return append(ev.VectorInto(dst, c.Events), rdram)
 }
 
-// EvalVector returns f for a feature vector built by AppendVector.
-// Callers that evaluate one task at many ratios build the vector once
-// and rewrite only its last slot.
-func (c *CorrelationFunc) EvalVector(x []float64) float64 {
-	return clampF(c.Model.Predict(x))
+// splitIndex returns the model's split index, building it on first use;
+// nil when the model is not a tree ensemble.
+func (c *CorrelationFunc) splitIndex() *ml.SplitIndex {
+	c.indexOnce.Do(func() { c.index, _ = ml.NewSplitIndex(c.Model) })
+	return c.index
 }
 
 // RDramSplits returns the sorted, distinct thresholds at which the
@@ -61,12 +61,44 @@ func (c *CorrelationFunc) EvalVector(x []float64) float64 {
 // the model is not a tree ensemble. Between two consecutive thresholds
 // f does not depend on r_dram: Eval returns the same bits for every
 // ratio with the same sort.SearchFloat64s index, given the same events.
-// The slice is computed once per CorrelationFunc and is read-only.
+// The slice comes from the model's split index and is read-only.
 func (c *CorrelationFunc) RDramSplits() (thresholds []float64, ok bool) {
-	c.splitsOnce.Do(func() {
-		c.splits, c.splitsOK = ml.SplitThresholds(c.Model, len(c.Events))
-	})
-	return c.splits, c.splitsOK
+	ix := c.splitIndex()
+	if ix == nil {
+		return nil, false
+	}
+	return ix.Thresholds(len(c.Events)), true
+}
+
+// BindWords is the length of the bit state BindEvents fills and
+// EvalBound moves; 0 when RDramSplits reports no thresholds (ok=false).
+func (c *CorrelationFunc) BindWords() int {
+	if ix := c.splitIndex(); ix != nil {
+		return ix.Words()
+	}
+	return 0
+}
+
+// BindEvents records in state (BindWords() long) the outcome of every
+// split the model makes on one task's events, through the split index:
+// what stays fixed while a planner varies the task's r_dram. The state
+// is then at r_dram interval 0. buf is scratch for the feature vector;
+// the grown buffer is returned for reuse. Only for models RDramSplits
+// reports thresholds for.
+func (c *CorrelationFunc) BindEvents(state []uint64, ev pmc.Counters, buf []float64) []float64 {
+	x := c.AppendVector(buf[:0], ev, 0)
+	c.splitIndex().Bind(state, x, len(c.Events))
+	return x
+}
+
+// EvalBound moves a state BindEvents made from events ev, and earlier
+// calls moved to r_dram interval from, on to interval k >= from of
+// RDramSplits, and returns Eval(ev, r) for any ratio r in interval k —
+// sort.SearchFloat64s(thresholds, r) == k — bit for bit. Each call
+// counts as one model prediction, and none allocates. (See
+// ml.SplitIndex.Predict.)
+func (c *CorrelationFunc) EvalBound(state []uint64, from, k int) float64 {
+	return clampF(c.splitIndex().Predict(state, len(c.Events), from, k))
 }
 
 // clampF keeps f in a physically meaningful band (0 would mean PM
@@ -187,7 +219,7 @@ func (m *PerfModel) Predict(tPm, tDram float64, ev pmc.Counters, rdram float64) 
 // PredictBatch evaluates Equation 2 for many (task, ratio) tuples in
 // one pass through the correlation function's compiled batch kernel.
 // PredictBatch(...)[i] is bit-identical to the corresponding pairwise
-// Predict call — planners may seed their memo caches from it.
+// Predict call.
 func (m *PerfModel) PredictBatch(tPm, tDram []float64, evs []pmc.Counters, rdram []float64) []float64 {
 	out := make([]float64, len(rdram))
 	if m.Corr == nil {

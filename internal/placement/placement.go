@@ -15,6 +15,7 @@ package placement
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -165,26 +166,26 @@ func density(o ObjectLoad) float64 {
 //     thresholds of the r_dram column (model.CorrelationFunc.RDramSplits).
 //     The memo keeps one f per (task, threshold interval) in a dense row
 //     per task and recomputes Equation 2 on every probe — the arithmetic
-//     PerfModel.Predict does — so a bisection pays one tree walk per
-//     interval it visits, not one per probe.
+//     PerfModel.Predict does — so a bisection pays one evaluation per
+//     interval it visits, not one per probe. A miss evaluates through
+//     the model's split index instead of walking the trees: the task's
+//     first miss binds its events (applies every split on them, once),
+//     and each miss then applies only r_dram splits — those between the
+//     task's last interval and its new one — and sums the exit leaves.
 //   - Every other model (SVR, KNN, the MLP, no correlation function) is
 //     keyed on the ratio's exact float64 bits: equal ratios share an
 //     entry, different ratios never do.
 //
 // Either way a lookup returns the identical value a fresh perf.Predict
-// call would, so plans are unchanged; only repeated model walks go.
+// call would, so plans are unchanged; only repeated model work goes.
 type predictMemo struct {
 	tasks []TaskInput
 	perf  *model.PerfModel
-	// splits, fs and vecs are the interval memo, set for tree ensembles
-	// only. fs holds len(splits)+1 slots per task, indexed by
-	// sort.SearchFloat64s(splits, r); 0 marks an unset slot (clampF keeps
-	// every f at 0.05 or above). fs comes from memoRows and goes back in
-	// release. vecs[i] is task i's feature vector, built once per plan; a
-	// miss rewrites its last slot, r_dram.
+	// splits, nw and slab are the interval memo, set for tree ensembles
+	// only: nw is the words of one task's bit state.
 	splits []float64
-	fs     []float64
-	vecs   [][]float64
+	nw     int
+	slab   *memoSlab
 	// cache is the exact-bits memo every other model uses.
 	cache map[predictKey]float64
 	// requests/hits/misses count prediction lookups for the memo-hit-rate
@@ -198,10 +199,26 @@ type predictKey struct {
 	rbits uint64
 }
 
-// memoRows recycles the interval memo's dense rows across plans. A
-// plan's rows take tens of kilobytes; allocated fresh, their page faults
-// and GC work cost Algorithm 1 about what the saved walks do.
-var memoRows = sync.Pool{New: func() any { return new([]float64) }}
+// memoSlab is the interval memo's storage for one plan.
+type memoSlab struct {
+	// fs holds len(splits)+1 slots per task, indexed by
+	// sort.SearchFloat64s(splits, r); 0 marks an unset slot (clampF keeps
+	// every f at 0.05 or above).
+	fs []float64
+	// bound holds each task's bound bit state, nw words per task, and
+	// work the same state moved to r_dram interval at[i]; at[i] is -1
+	// until task i's first miss binds it. vec is the feature vector a
+	// binding builds.
+	bound []uint64
+	work  []uint64
+	at    []int
+	vec   []float64
+}
+
+// memoSlabs recycles the interval memo's storage across plans: a plan's
+// rows and bit states take tens of kilobytes, and the pool spares each
+// plan their page faults and GC work.
+var memoSlabs = sync.Pool{New: func() any { return new(memoSlab) }}
 
 func newPredictMemo(tasks []TaskInput, perf *model.PerfModel, reg *obs.Registry) *predictMemo {
 	m := &predictMemo{
@@ -213,16 +230,16 @@ func newPredictMemo(tasks []TaskInput, perf *model.PerfModel, reg *obs.Registry)
 	}
 	if corr := perf.Corr; corr != nil {
 		if splits, ok := corr.RDramSplits(); ok {
-			m.splits = splits
-			buf := memoRows.Get().(*[]float64)
-			m.fs = append((*buf)[:0], make([]float64, len(tasks)*(len(splits)+1))...)
-			m.vecs = make([][]float64, len(tasks))
-			flat := make([]float64, 0, len(tasks)*(len(corr.Events)+1))
-			for i := range tasks {
-				start := len(flat)
-				flat = corr.AppendVector(flat, tasks[i].Events, 0)
-				m.vecs[i] = flat[start:len(flat):len(flat)]
+			nw := corr.BindWords()
+			s := memoSlabs.Get().(*memoSlab)
+			s.fs = append(s.fs[:0], make([]float64, len(tasks)*(len(splits)+1))...)
+			s.bound = slices.Grow(s.bound[:0], len(tasks)*nw)[:len(tasks)*nw]
+			s.work = slices.Grow(s.work[:0], len(tasks)*nw)[:len(tasks)*nw]
+			s.at = slices.Grow(s.at[:0], len(tasks))[:len(tasks)]
+			for i := range s.at {
+				s.at[i] = -1
 			}
+			m.splits, m.nw, m.slab = splits, nw, s
 			return m
 		}
 	}
@@ -232,11 +249,11 @@ func newPredictMemo(tasks []TaskInput, perf *model.PerfModel, reg *obs.Registry)
 	return m
 }
 
-// release returns the interval memo's rows to memoRows; the memo must
-// not be used afterwards.
+// release returns the interval memo's storage to memoSlabs; the memo
+// must not be used afterwards.
 func (m *predictMemo) release() {
-	if fs := m.fs; fs != nil {
-		memoRows.Put(&fs)
+	if m.slab != nil {
+		memoSlabs.Put(m.slab)
 	}
 }
 
@@ -254,17 +271,16 @@ func (m *predictMemo) predict(i int, dramAcc float64) float64 {
 func (m *predictMemo) predictRatio(i int, r float64) float64 {
 	m.requests.Inc()
 	t := &m.tasks[i]
-	if m.fs != nil {
-		slot := m.slot(i, r)
-		f := m.fs[slot]
+	if s := m.slab; s != nil {
+		k := sort.SearchFloat64s(m.splits, r)
+		slot := i*(len(m.splits)+1) + k
+		f := s.fs[slot]
 		if f != 0 {
 			m.hits.Inc()
 		} else {
 			m.misses.Inc()
-			x := m.vecs[i]
-			x[len(x)-1] = r
-			f = m.perf.Corr.EvalVector(x)
-			m.fs[slot] = f
+			f = m.evalInterval(i, k)
+			s.fs[slot] = f
 		}
 		return model.PredictHybrid(t.TPmOnly, t.TDramOnly, r, f)
 	}
@@ -279,44 +295,23 @@ func (m *predictMemo) predictRatio(i int, r float64) float64 {
 	return v
 }
 
-// slot is the interval memo's index for task i at ratio r.
-func (m *predictMemo) slot(i int, r float64) int {
-	return i*(len(m.splits)+1) + sort.SearchFloat64s(m.splits, r)
-}
-
-// warmEndpoints seeds the memo with every task's r=0 and r=1 entries
-// from one batch call: the bisection planner probes both endpoints for
-// every candidate makespan, and the batch form runs the compiled
-// model's block kernel — each tree's node table is walked for a whole
-// block of rows at a time instead of once per task. Batch predictions
-// are bit-identical to pointwise ones, so seeded entries change nothing
-// but the walk count.
-func (m *predictMemo) warmEndpoints() {
-	n := len(m.tasks)
-	tPm := make([]float64, 0, 2*n)
-	tDram := make([]float64, 0, 2*n)
-	evs := make([]pmc.Counters, 0, 2*n)
-	ratios := make([]float64, 0, 2*n)
-	for _, r := range []float64{0, 1} {
-		for i := range m.tasks {
-			t := &m.tasks[i]
-			tPm = append(tPm, t.TPmOnly)
-			tDram = append(tDram, t.TDramOnly)
-			evs = append(evs, t.Events)
-			ratios = append(ratios, r)
-		}
+// evalInterval returns f for task i at any ratio in r_dram interval k.
+// The task's first miss binds its events; each miss then moves its work
+// state up from the last interval evaluated, applying only the r_dram
+// splits in between, or, below it, starts again from the bound state.
+func (m *predictMemo) evalInterval(i, k int) float64 {
+	s, corr := m.slab, m.perf.Corr
+	bound, work := s.bound[i*m.nw:(i+1)*m.nw], s.work[i*m.nw:(i+1)*m.nw]
+	from := s.at[i]
+	if from < 0 {
+		s.vec = corr.BindEvents(bound, m.tasks[i].Events, s.vec)
 	}
-	if m.fs != nil {
-		for k, f := range m.perf.Corr.EvalBatch(evs, ratios) {
-			m.fs[m.slot(k%n, ratios[k])] = f
-		}
-		return
+	if from < 0 || k < from {
+		copy(work, bound)
+		from = 0
 	}
-	preds := m.perf.PredictBatch(tPm, tDram, evs, ratios)
-	for k, v := range preds {
-		i := k % n
-		m.cache[predictKey{task: i, rbits: math.Float64bits(ratios[k])}] = v
-	}
+	s.at[i] = k
+	return corr.EvalBound(work, from, k)
 }
 
 // GreedyLoadBalance is Algorithm 1. It returns the per-task DRAM access
@@ -545,14 +540,11 @@ func MinMakespanPlan(tasks []TaskInput, dc uint64, perf *model.PerfModel, tol fl
 	}
 	// The bisections revisit the endpoints and nearby ratios for every
 	// candidate T. The same per-plan memo that serves Algorithm 1 removes
-	// those repeated model walks: with a tree ensemble, every probe that
-	// lands in an r_dram interval already walked is a hit, whatever its
-	// exact bits. The endpoint predictions every feasibility probe starts
-	// from are precomputed in one pass through the compiled model's batch
-	// kernel.
+	// those repeated model evaluations: with a tree ensemble, every probe
+	// that lands in an r_dram interval already evaluated is a hit,
+	// whatever its exact bits.
 	memo := newPredictMemo(tasks, perf, nil)
 	defer memo.release()
-	memo.warmEndpoints()
 	predict := memo.predictRatio
 	// Minimum DRAM ratio for task i to be predicted at or under T
 	// (+inf pages when even r = 1 cannot reach T).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -325,4 +326,44 @@ func TestConcurrentPlansOnFreshRestore(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
+}
+
+// TestTreeModelsPlanThroughSplitIndex: the fitted and restored
+// reference GBRs and depth-8 forests take the interval memo, whose
+// misses evaluate through the model's split index — the forests' trees
+// outgrow one 64-bit state word — and bind each task's events on its
+// first miss; the linear model and the MLP keep the exact-bits memo.
+// Every answer equals perf.Predict bit for bit.
+func TestTreeModelsPlanThroughSplitIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, m := range refModels(t) {
+		tasks, _ := randomInstance(rng, m.events)
+		memo := newPredictMemo(tasks, m.perf, nil)
+		tree := m.name != "linear" && m.name != "mlp"
+		if got := memo.slab != nil; got != tree {
+			t.Fatalf("%s: interval memo %v, want %v", m.name, got, tree)
+		}
+		if tree && memo.cache != nil {
+			t.Fatalf("%s: a tree model also got the exact-bits memo", m.name)
+		}
+		if strings.HasPrefix(m.name, "forest") && m.perf.Corr.BindWords() <= 8 {
+			t.Fatalf("%s: %d state words for 8 trees, want multi-word trees", m.name, m.perf.Corr.BindWords())
+		}
+		for i, task := range tasks {
+			if tree && memo.slab.at[i] >= 0 {
+				t.Fatalf("%s: task %d bound before its first miss", m.name, i)
+			}
+			for _, r := range []float64{0.3, 0, 1, 0.3} {
+				got := memo.predictRatio(i, r)
+				want := m.perf.Predict(task.TPmOnly, task.TDramOnly, task.Events, r)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: task %d at r=%v: memo %v, Predict %v", m.name, i, r, got, want)
+				}
+			}
+			if tree && memo.slab.at[i] < 0 {
+				t.Fatalf("%s: task %d not bound after its misses", m.name, i)
+			}
+		}
+		memo.release()
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"time"
 
@@ -100,6 +101,12 @@ func (s *Service) Handler(cfg HTTPConfig) http.Handler {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
 			http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		// The body is one request: anything after it but whitespace is
+		// rejected, a stray ] or } included (which dec.More misses).
+		if _, err := dec.Token(); err != io.EOF {
+			http.Error(w, "bad request body: trailing data after the request", http.StatusBadRequest)
 			return
 		}
 		ctx := r.Context()

@@ -514,6 +514,46 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
+// TestPlaceRejectsTrailingBytes: a /place body is one request. A real
+// replica answers 400 to a body with anything but whitespace after the
+// request — garbage, a stray ] or }, a second request — and 200 to one
+// ending in a newline.
+func TestPlaceRejectsTrailingBytes(t *testing.T) {
+	s := New(Config{})
+	defer shutdown(t, s)
+	s.Load(testSystem(t))
+	srv := httptest.NewServer(s.Handler(HTTPConfig{}))
+	defer srv.Close()
+	raw, err := json.Marshal(testRequest("x", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(raw)
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{body + "garbage", http.StatusBadRequest},
+		{body + "]", http.StatusBadRequest},
+		{body + "}", http.StatusBadRequest},
+		{body + body, http.StatusBadRequest},
+		{body + "\n" + body, http.StatusBadRequest},
+		{body, http.StatusOK},
+		{body + "\n", http.StatusOK},
+		{" " + body + " \t\r\n", http.StatusOK},
+	} {
+		resp, err := http.Post(srv.URL+"/place", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("body %q: %d (%s), want %d", c.body, resp.StatusCode, msg, c.want)
+		}
+	}
+}
+
 func TestHTTPStatusMapping(t *testing.T) {
 	cases := []struct {
 		err  error

@@ -6,12 +6,15 @@
 # shared across workers, the serving
 # daemon's planner and the epoch re-plan lifecycle) under the race
 # detector, hold the compiled
-# inference engine to zero allocations per single-point predict and
-# smoke its pointer-vs-compiled benchmarks, the planner benchmarks, the
+# inference engine to zero allocations per single-point predict and per
+# split-index evaluation (TestSplitIndexPredictZeroAllocs: the planners'
+# miss path) and smoke its pointer-vs-compiled benchmarks, the
+# index-vs-walk BenchmarkSplitIndex, the planner benchmarks, the
 # RMAT generator benchmark, the BFS and SpGEMM construction benchmarks
 # and the migration daemon's tick benchmark,
-# smoke the flat-table loader, event-encoder, artifact-decoder and
-# binary-slot-decoder fuzz targets
+# smoke the flat-table loader, split-index
+# (FuzzSplitIndexMatchesPredict: index vs walk), event-encoder,
+# artifact-decoder and binary-slot-decoder fuzz targets
 # on their seed corpora plus 10s of new inputs each, run the end-to-end
 # save/load/serve smoke (binary-format artifact, boot-to-ready timed)
 # against a real
@@ -110,20 +113,22 @@ echo "== replan identity smoke (off == plan-once, Workers=1 vs Workers=8)"
 go test -timeout 300s -count=1 -run '^TestReplanOffByteIdentical$' ./internal/core
 go test -timeout 300s -count=1 -run '^TestReplanStudyDeterministicAndRecovers$' ./internal/experiments
 
-echo "== allocation gate (compiled single-point predict must not allocate)"
+echo "== allocation gate (compiled single-point predict and split-index evaluation must not allocate)"
 # Deliberately outside the -race tier: the assertion is exact (0
 # allocs/op via testing.AllocsPerRun) and instrumented builds allocate.
-go test -timeout 60s ./internal/ml -run '^TestCompiledPredictZeroAllocs$' -count=1 -v | grep -E '^(=== RUN|--- (PASS|FAIL)|ok)' || exit 1
+go test -timeout 60s ./internal/ml -run '^(TestCompiledPredictZeroAllocs|TestSplitIndexPredictZeroAllocs)$' -count=1 -v | grep -E '^(=== RUN|--- (PASS|FAIL)|ok)' || exit 1
 
-echo "== bench smoke (pointer vs compiled inference, planners: 100 iterations; RMAT generator, BFS and SpGEMM construction, daemon tick: 1 iteration)"
+echo "== bench smoke (pointer vs compiled inference, split index vs walk, planners: 100 iterations; RMAT generator, BFS and SpGEMM construction, daemon tick: 1 iteration)"
 # Not a perf gate (CI machines vary) — this just proves the benchmarks
 # run: the pointer-walk reference they compare against lives in the
-# ml test files, the planner benchmarks are the ones README quotes, the
+# ml test files, the split-index benchmark times one indexed evaluation
+# against one walk of the same GBR, the planner benchmarks are the ones
+# README quotes, the
 # RMAT benchmark builds BFS's full-scale graph and one SpGEMM operand
 # once each, the BFS and SpGEMM benchmarks build each application at
 # quick and full scale, and the tick benchmark runs Merchandiser's daemon
 # on a full DRAM and MemoryOptimizer's evicting daemon.
-go test -timeout 120s ./internal/ml -run '^$' -bench 'Predict(Pointer|Compiled)' -benchtime 100x
+go test -timeout 120s ./internal/ml -run '^$' -bench 'Predict(Pointer|Compiled)|SplitIndex' -benchtime 100x
 go test -timeout 120s ./internal/placement -run '^$' -bench 'MinMakespanPlan|GreedyLoadBalanceTrained' -benchtime 100x
 go test -timeout 120s ./internal/sparse -run '^$' -bench RMAT -benchtime 1x
 go test -timeout 120s ./internal/apps -run '^$' -bench 'NewBFS|NewSpGEMM' -benchtime 1x
@@ -131,6 +136,9 @@ go test -timeout 120s ./internal/baseline -run '^$' -bench DaemonTick -benchtime
 
 echo "== fuzz smoke (FuzzLoadFlat, 10s)"
 go test -timeout 60s ./internal/ml -run '^$' -fuzz '^FuzzLoadFlat$' -fuzztime 10s
+
+echo "== fuzz smoke (FuzzSplitIndexMatchesPredict, 10s)"
+go test -timeout 60s ./internal/ml -run '^$' -fuzz '^FuzzSplitIndexMatchesPredict$' -fuzztime 10s
 
 echo "== fuzz smoke (FuzzEventEncode, 10s)"
 go test -timeout 60s ./internal/obs -run '^$' -fuzz '^FuzzEventEncode$' -fuzztime 10s

@@ -475,9 +475,6 @@ func (m *MemoryOptimizer) Tick(now float64, mem *hm.Memory, tasks []hm.TaskStatu
 	m.daemon.Tick(now, mem, tasks)
 }
 
-// Migrations reports pages migrated to DRAM so far.
-func (m *MemoryOptimizer) Migrations() uint64 { return m.daemon.Migrations }
-
 // Daemon exposes the underlying migration daemon for inspection.
 func (m *MemoryOptimizer) Daemon() *Daemon { return m.daemon }
 

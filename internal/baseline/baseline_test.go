@@ -216,7 +216,7 @@ func TestTrivialPolicies(t *testing.T) {
 	if mo.Name() != "MemoryOptimizer" {
 		t.Fatal("MemoryOptimizer wiring")
 	}
-	if mo.Migrations() != 0 {
+	if mo.daemon.Migrations != 0 {
 		t.Fatal("fresh optimizer has no migrations")
 	}
 	d := NewDaemon(DaemonConfig{})

@@ -41,9 +41,6 @@ func Affine(v string, coef, offset int) Expr {
 // Ix builds the common unit-stride index v.
 func Ix(v string) Expr { return Affine(v, 1, 0) }
 
-// ConstIx builds a constant index.
-func ConstIx(off int) Expr { return Expr{Offset: off} }
-
 // IndirectIx builds an indirect index through idxArray[inner].
 func IndirectIx(idxArray string, elemSize int, inner Expr) Expr {
 	return Expr{Indirect: &Ref{Array: idxArray, ElemSize: elemSize, Index: inner}}
@@ -59,20 +56,6 @@ func (e Expr) Coef(v string) int {
 
 // IsIndirect reports whether the expression indexes through another array.
 func (e Expr) IsIndirect() bool { return e.Indirect != nil }
-
-// IsConstant reports whether the index does not depend on any induction
-// variable or indirection.
-func (e Expr) IsConstant() bool {
-	if e.Indirect != nil {
-		return false
-	}
-	for _, c := range e.Terms {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // String renders the expression in source-like form.
 func (e Expr) String() string {

@@ -26,8 +26,8 @@ func TestExprString(t *testing.T) {
 		{Ix("i"), "i"},
 		{Affine("i", 3, 0), "3*i"},
 		{Affine("i", 1, -1), "i+-1"},
-		{ConstIx(7), "7"},
-		{ConstIx(0), "0"},
+		{Expr{Offset: 7}, "7"},
+		{Expr{}, "0"},
 		{IndirectIx("C", 4, Ix("i")), "C[i]"},
 	}
 	for _, c := range cases {
@@ -42,17 +42,8 @@ func TestExprString(t *testing.T) {
 }
 
 func TestExprPredicates(t *testing.T) {
-	if !ConstIx(5).IsConstant() {
-		t.Fatal("constant index should be constant")
-	}
-	if Ix("i").IsConstant() {
-		t.Fatal("i is not constant")
-	}
-	if (Expr{Terms: map[string]int{"i": 0}, Offset: 2}).IsConstant() == false {
-		t.Fatal("zero-coefficient term is still constant")
-	}
 	ind := IndirectIx("C", 4, Ix("i"))
-	if !ind.IsIndirect() || ind.IsConstant() {
+	if !ind.IsIndirect() || Ix("i").IsIndirect() {
 		t.Fatal("indirect predicates wrong")
 	}
 	if Ix("i").Coef("i") != 1 || Ix("i").Coef("j") != 0 {

@@ -65,7 +65,8 @@ func BenchmarkPredictPointer(b *testing.B) {
 }
 
 // BenchmarkPredictCompiled measures the flat node-table engine on the
-// same fitted model; the batch case runs the block kernel.
+// same fitted model; the batch case is PredictAll, one walk per tree
+// per row.
 func BenchmarkPredictCompiled(b *testing.B) {
 	g, X := benchGBR(b)
 	b.Run("single", func(b *testing.B) {

@@ -57,21 +57,41 @@ func assertBitEqual(t *testing.T, name string, X [][]float64, pointer func([]flo
 	}
 }
 
+// nonFinite returns copies of rows with one feature set to NaN, +Inf or
+// -Inf, each feature in turn.
+func nonFinite(rows [][]float64) [][]float64 {
+	var out [][]float64
+	for j := range rows[0] {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, x := range rows {
+				x = append([]float64(nil), x...)
+				x[j] = v
+				out = append(out, x)
+			}
+		}
+	}
+	return out
+}
+
 // TestCompiledMatchesPointer is the differential acceptance test for
 // the compiled engine: across a spread of randomly fitted models —
 // deep and shallow trees, forests, GBRs at several worker counts — and
 // across their restored-from-artifact forms, every compiled prediction
-// must be bit-identical to the pointer walk the model was fitted as.
+// must be bit-identical to the pointer walk the model was fitted as,
+// also when a feature is NaN or infinite (a walk that reaches its leaf
+// early must stay on it whatever x[0] holds).
 func TestCompiledMatchesPointer(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		X, y := serializeTrainingSet(200+10*int(seed), 5, seed)
 		probe, _ := serializeTrainingSet(333, 5, seed+100)
+		probe = append(probe, nonFinite(probe[:20])...)
 
 		tree := NewDecisionTree(TreeConfig{MaxDepth: 3 + int(seed), Seed: seed})
 		if err := tree.Fit(X, y); err != nil {
 			t.Fatal(err)
 		}
-		assertBitEqual(t, "tree", probe, tree.root.predict, tree.Predict, tree.PredictAll)
+		treeBatch := func(X [][]float64) []float64 { return PredictBatch(tree, X) }
+		assertBitEqual(t, "tree", probe, tree.root.predict, tree.Predict, treeBatch)
 
 		forest := NewRandomForest(ForestConfig{NumTrees: 5 + int(seed), MaxDepth: 6, Seed: seed, Workers: int(seed % 3)})
 		if err := forest.Fit(X, y); err != nil {

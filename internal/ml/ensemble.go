@@ -150,20 +150,17 @@ func (f *RandomForest) Predict(x []float64) float64 {
 	return f.tab.accumulate(0, 1, x) / float64(len(f.tab.roots))
 }
 
-// PredictAll implements BatchRegressor through the batch kernel: row
-// chunks run concurrently, each chunk iterates trees in fit order over
-// row blocks, so PredictAll(X)[i] == Predict(X[i]) bit-for-bit while
-// one tree's nodes stay cache-hot per block.
+// PredictAll implements BatchRegressor: row chunks run concurrently,
+// and each row is Predict's own walk, so PredictAll(X)[i] ==
+// Predict(X[i]) by construction.
 func (f *RandomForest) PredictAll(X [][]float64) []float64 {
 	out := make([]float64, len(X))
 	if !f.fitted {
 		return out
 	}
-	n := float64(len(f.tab.roots))
 	parallelChunks(len(X), f.Config.Workers, func(lo, hi int) {
-		f.tab.batchSum(X, out, lo, hi, 0, 1)
 		for i := lo; i < hi; i++ {
-			out[i] /= n
+			out[i] = f.Predict(X[i])
 		}
 	})
 	return out
@@ -270,10 +267,9 @@ func (g *GradientBoosted) Predict(x []float64) float64 {
 	return g.tab.accumulate(g.base, g.Config.LearningRate, x)
 }
 
-// PredictAll implements BatchRegressor through the batch kernel: row
-// chunks run concurrently, each chunk accumulates the stages in fit
-// order over row blocks, so PredictAll(X)[i] == Predict(X[i])
-// bit-for-bit while one stage's nodes stay cache-hot per block.
+// PredictAll implements BatchRegressor: row chunks run concurrently,
+// and each row is Predict's own accumulation, so PredictAll(X)[i] ==
+// Predict(X[i]) by construction. The rows are counted once per call.
 func (g *GradientBoosted) PredictAll(X [][]float64) []float64 {
 	out := make([]float64, len(X))
 	if !g.fitted {
@@ -282,7 +278,9 @@ func (g *GradientBoosted) PredictAll(X [][]float64) []float64 {
 	defer g.Config.Obs.WallTimer("ml.gbr.predict_seconds").Start()()
 	g.predictions.Add(float64(len(X)))
 	parallelChunks(len(X), g.Config.Workers, func(lo, hi int) {
-		g.tab.batchSum(X, out, lo, hi, g.base, g.Config.LearningRate)
+		for i := lo; i < hi; i++ {
+			out[i] = g.tab.accumulate(g.base, g.Config.LearningRate, X[i])
+		}
 	})
 	return out
 }

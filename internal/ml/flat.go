@@ -18,11 +18,12 @@ package ml
 // node's left child must be the next unallocated slot, leaves must
 // self-loop on a +Inf threshold), re-deriving every tree's height, and
 // bounding depth, feature indices and float finiteness — so the
-// branch-free walk kernels never leave the table, loop forever, or
-// compare NaNs. Feature indices are bounded only by maxFeatureIndex:
-// the table does not know the feature vector it will be fed, so the
-// caller that pairs a model with its features must check the table's
-// largest split feature against them (merchandiser's restore does).
+// branch-free walk never leaves the table, loops forever, or compares
+// against a NaN threshold. Feature indices are bounded only by
+// maxFeatureIndex: the table does not know the feature vector it will
+// be fed, so the caller that pairs a model with its features must
+// check the table's largest split feature against them (merchandiser's
+// restore does).
 // Every violation classifies as merr.ErrBadArtifact.
 
 import (

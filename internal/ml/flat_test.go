@@ -481,11 +481,11 @@ func TestFlatLoadedModelRefits(t *testing.T) {
 // FuzzLoadFlat feeds hostile tables to LoadFlat: node records,
 // little-endian int32 root and depth arrays, and a GBR/forest switch
 // over fixed valid metadata. It must never panic, every rejection must
-// classify as ErrBadArtifact, and an accepted model's Predict must
-// equal its PredictAll bit for bit on rows wide enough for every split
-// feature, which drives the table through both 8-lane kernels. Outputs
-// need not be finite: validation admits large finite leaves whose sums
-// overflow.
+// classify as ErrBadArtifact, and an accepted model must walk every
+// tree of the table without leaving it, with Predict equal to
+// PredictAll bit for bit on rows wide enough for every split feature.
+// Outputs need not be finite: validation admits large finite leaves
+// whose sums overflow.
 func FuzzLoadFlat(f *testing.F) {
 	int32Bytes := func(v []int32) []byte {
 		var b []byte
@@ -544,9 +544,9 @@ func FuzzLoadFlat(f *testing.F) {
 		for _, nd := range recs {
 			maxFeature = max(maxFeature, int(nd.Feature))
 		}
-		// 19 rows cover two 8-row lanes and a tail. They are overlapping
-		// windows of one buffer, so a table that splits on a feature near
-		// maxFeatureIndex does not cost 19 full-width rows.
+		// The 19 rows are overlapping windows of one buffer, so a table
+		// that splits on a feature near maxFeatureIndex does not cost 19
+		// full-width rows.
 		const rows = 19
 		rng := rand.New(rand.NewSource(int64(len(recs))))
 		buf := make([]float64, maxFeature+rows)

@@ -45,9 +45,10 @@ type Importancer interface {
 	Importances() []float64
 }
 
-// BatchRegressor is implemented by models with a batch predictor that is
-// cheaper than per-point Predict calls (one pass over the trees, chunked
-// across goroutines). PredictAll(X)[i] equals Predict(X[i]) exactly.
+// BatchRegressor is implemented by the tree ensembles, whose batch
+// predictor scores row chunks on concurrent goroutines (Workers), each
+// row through Predict's own walk. PredictAll(X)[i] equals Predict(X[i])
+// exactly.
 type BatchRegressor interface {
 	Regressor
 	// PredictAll returns the model output for every row of X.
@@ -153,7 +154,8 @@ func checkFinite(row int, x []float64, y float64) error {
 }
 
 // PredictBatch applies the model to every row, using the model's batch
-// predictor when it has one.
+// predictor when it has one and Predict row by row otherwise; either
+// way PredictBatch(m, X)[i] equals m.Predict(X[i]) exactly.
 func PredictBatch(m Regressor, X [][]float64) []float64 {
 	if b, ok := m.(BatchRegressor); ok {
 		return b.PredictAll(X)

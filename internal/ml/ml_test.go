@@ -372,11 +372,12 @@ func TestProjectColumns(t *testing.T) {
 	}
 }
 
-// TestPredictAllMatchesPredict checks BatchRegressor implementations are
-// bit-identical to their per-point Predict, for every worker count.
+// TestPredictAllMatchesPredict checks the batch path of every tree
+// model — the ensembles' PredictAll on concurrent row chunks, a lone
+// tree's row-by-row fallback — is bit-identical to per-point Predict.
 func TestPredictAllMatchesPredict(t *testing.T) {
 	X, y := synth(300, 5, 3, 0.05, 11)
-	models := []BatchRegressor{
+	models := []Regressor{
 		NewDecisionTree(TreeConfig{MaxDepth: 8}),
 		NewRandomForest(ForestConfig{NumTrees: 12, MaxDepth: 6, Seed: 2, Workers: 3}),
 		NewGradientBoosted(GBRConfig{NumStages: 40, MaxDepth: 3, Seed: 2, Workers: 3}),
@@ -385,7 +386,7 @@ func TestPredictAllMatchesPredict(t *testing.T) {
 		if err := m.Fit(X, y); err != nil {
 			t.Fatal(err)
 		}
-		batch := m.PredictAll(X)
+		batch := PredictBatch(m, X)
 		for i, x := range X {
 			if p := m.Predict(x); p != batch[i] {
 				t.Fatalf("%s: row %d: PredictAll %v != Predict %v", m.Name(), i, batch[i], p)

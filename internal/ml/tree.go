@@ -98,28 +98,14 @@ func (t *DecisionTree) Fit(X [][]float64, y []float64) error {
 	return nil
 }
 
-// Predict implements Regressor; an unfitted tree predicts 0. Like the
-// ensemble kernels it expects finite features: a NaN would unpark a
-// walk that reached its leaf early.
+// Predict implements Regressor through one walk of the tree's table;
+// an unfitted tree predicts 0. A lone tree has no batch predictor:
+// PredictBatch calls Predict row by row.
 func (t *DecisionTree) Predict(x []float64) float64 {
 	if !t.fitted {
 		return 0
 	}
 	return t.tab.walk(0, t.tab.depth[0], x)
-}
-
-// PredictAll implements BatchRegressor. A single tree walk is already
-// cheap, so rows are evaluated in place without goroutines — ensemble
-// callers parallelize at the row-chunk level instead.
-func (t *DecisionTree) PredictAll(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	if !t.fitted {
-		return out
-	}
-	for i, x := range X {
-		out[i] = t.tab.walk(0, t.tab.depth[0], x)
-	}
-	return out
 }
 
 // Importances implements Importancer.

@@ -114,10 +114,11 @@ func clampF(f float64) float64 {
 	return f
 }
 
-// EvalBatch returns f for many (counters, ratio) pairs in one pass
-// through the model's compiled batch kernel. Batch predictions are
-// bit-identical to per-point Predict calls, so EvalBatch(evs, rs)[i]
-// equals Eval(evs[i], rs[i]) exactly.
+// EvalBatch returns f for many (counters, ratio) pairs: one flat matrix
+// of feature vectors scored by ml.PredictBatch, which for a tree
+// ensemble splits the rows into chunks on concurrent goroutines and
+// walks each row as Predict does. EvalBatch(evs, rs)[i] equals
+// Eval(evs[i], rs[i]) exactly.
 func (c *CorrelationFunc) EvalBatch(evs []pmc.Counters, rdram []float64) []float64 {
 	d := len(c.Events) + 1
 	flat := make([]float64, 0, len(evs)*d)
@@ -216,10 +217,9 @@ func (m *PerfModel) Predict(tPm, tDram float64, ev pmc.Counters, rdram float64) 
 	return PredictHybrid(tPm, tDram, rdram, f)
 }
 
-// PredictBatch evaluates Equation 2 for many (task, ratio) tuples in
-// one pass through the correlation function's compiled batch kernel.
-// PredictBatch(...)[i] is bit-identical to the corresponding pairwise
-// Predict call.
+// PredictBatch evaluates Equation 2 for many (task, ratio) tuples,
+// scoring f for all of them in one EvalBatch call. PredictBatch(...)[i]
+// is bit-identical to the corresponding pairwise Predict call.
 func (m *PerfModel) PredictBatch(tPm, tDram []float64, evs []pmc.Counters, rdram []float64) []float64 {
 	out := make([]float64, len(rdram))
 	if m.Corr == nil {

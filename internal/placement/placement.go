@@ -4,9 +4,11 @@
 //   - Algorithm 1, the greedy heuristic that repeatedly grants the
 //     predicted-slowest task 5% more DRAM accesses until it drops below
 //     the second slowest, until DRAM capacity is exhausted;
-//   - an exact dynamic-programming knapsack reference for small instances,
-//     used by tests to bound the heuristic's gap (the paper formulates the
-//     underlying problem as a knapsack and argues NP-hardness);
+//   - MinMakespanPlan, a bisection over the achievable makespan that
+//     plans within a tolerance, which /place serves (the paper
+//     formulates the problem as a knapsack and argues NP-hardness; the
+//     tests' grid search over page shares, KnapsackReference, checks
+//     both planners on small instances but bounds neither);
 //   - the migration gate that makes the MemoryOptimizer-style daemon
 //     load-balance aware: pages of a task that already reached its DRAM
 //     access goal are not migrated.
@@ -314,24 +316,38 @@ func (m *predictMemo) evalInterval(i, k int) float64 {
 	return corr.EvalBound(work, from, k)
 }
 
+// checkTasks is both planners' input check: at least one task, each
+// with a finite positive PM-only time, a positive DRAM-only time no
+// larger than it, and a finite non-negative access count. Every
+// comparison is written so NaN fails it; a NaN or infinite input would
+// otherwise yield NaN predictions, or keep Algorithm 1's grant loop
+// from ever ending.
+func checkTasks(tasks []TaskInput) error {
+	if len(tasks) == 0 {
+		return fmt.Errorf("placement: no tasks")
+	}
+	for i, t := range tasks {
+		if !(t.TPmOnly > 0) || math.IsInf(t.TPmOnly, 1) ||
+			!(t.TotalAccesses >= 0) || math.IsInf(t.TotalAccesses, 1) {
+			return fmt.Errorf("placement: task %d (%s) has invalid inputs: tPm=%v acc=%v",
+				i, t.Name, t.TPmOnly, t.TotalAccesses)
+		}
+		if !(t.TDramOnly > 0) || t.TDramOnly > t.TPmOnly {
+			return fmt.Errorf("placement: task %d (%s) has invalid DRAM-only time %v (PM-only %v)",
+				i, t.Name, t.TDramOnly, t.TPmOnly)
+		}
+	}
+	return nil
+}
+
 // GreedyLoadBalance is Algorithm 1. It returns the per-task DRAM access
 // goals that (predictedly) minimize the makespan within the DRAM capacity
 // dc (in pages), using the performance model for Line 15's prediction.
 func GreedyLoadBalance(tasks []TaskInput, dc uint64, perf *model.PerfModel, cfg Config) (*Plan, error) {
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("placement: no tasks")
+	if err := checkTasks(tasks); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	for i, t := range tasks {
-		if t.TPmOnly <= 0 || t.TotalAccesses < 0 {
-			return nil, fmt.Errorf("placement: task %d (%s) has invalid inputs: tPm=%v acc=%v",
-				i, t.Name, t.TPmOnly, t.TotalAccesses)
-		}
-		if t.TDramOnly <= 0 || t.TDramOnly > t.TPmOnly {
-			return nil, fmt.Errorf("placement: task %d (%s) has invalid DRAM-only time %v (PM-only %v)",
-				i, t.Name, t.TDramOnly, t.TPmOnly)
-		}
-	}
 
 	n := len(tasks)
 	plan := &Plan{
@@ -527,16 +543,11 @@ func (g *Gate) Allows(obj *hm.Object) bool {
 // and greedy heuristic" as its key algorithms; this is the
 // exact-within-tolerance counterpart used to audit Algorithm 1's gap.
 func MinMakespanPlan(tasks []TaskInput, dc uint64, perf *model.PerfModel, tol float64) (*Plan, error) {
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("placement: no tasks")
+	if err := checkTasks(tasks); err != nil {
+		return nil, err
 	}
 	if tol <= 0 {
 		tol = 1e-3
-	}
-	for i, t := range tasks {
-		if t.TPmOnly <= 0 || t.TDramOnly <= 0 || t.TDramOnly > t.TPmOnly {
-			return nil, fmt.Errorf("placement: task %d (%s) has invalid bounds", i, t.Name)
-		}
 	}
 	// The bisections revisit the endpoints and nearby ratios for every
 	// candidate T. The same per-plan memo that serves Algorithm 1 removes
@@ -624,51 +635,4 @@ func MinMakespanPlan(tasks []TaskInput, dc uint64, perf *model.PerfModel, tol fl
 		plan.Predicted[i] = predict(i, bestRatios[i])
 	}
 	return plan, nil
-}
-
-// KnapsackReference solves the fast-memory partitioning exactly for small
-// instances by dynamic programming over page grants, minimizing the
-// predicted makespan. Exponential-ish in resolution; tests only.
-func KnapsackReference(tasks []TaskInput, dc uint64, perf *model.PerfModel, granularity int) (float64, []uint64) {
-	if granularity <= 0 {
-		granularity = 20
-	}
-	n := len(tasks)
-	// Each task may receive 0..granularity shares of its footprint.
-	best := math.Inf(1)
-	var bestAlloc []uint64
-	alloc := make([]uint64, n)
-	var rec func(i int, remaining uint64)
-	rec = func(i int, remaining uint64) {
-		if i == n {
-			makespan := 0.0
-			for j, t := range tasks {
-				r := 0.0
-				if t.FootprintPages > 0 {
-					r = float64(alloc[j]) / float64(t.FootprintPages)
-				}
-				pred := perf.Predict(t.TPmOnly, t.TDramOnly, t.Events, r)
-				if pred > makespan {
-					makespan = pred
-				}
-			}
-			if makespan < best {
-				best = makespan
-				bestAlloc = append([]uint64(nil), alloc...)
-			}
-			return
-		}
-		t := tasks[i]
-		for g := 0; g <= granularity; g++ {
-			pages := uint64(float64(t.FootprintPages) * float64(g) / float64(granularity))
-			if pages > remaining {
-				break
-			}
-			alloc[i] = pages
-			rec(i+1, remaining-pages)
-		}
-		alloc[i] = 0
-	}
-	rec(0, dc)
-	return best, bestAlloc
 }

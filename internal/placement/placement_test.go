@@ -131,6 +131,78 @@ func TestGreedyValidation(t *testing.T) {
 	}
 }
 
+// TestPlannersRefuseBadInputs: both planners run one input check, so
+// each refuses a task whose time or access count is NaN, infinite, out
+// of range, or whose DRAM-only time exceeds its PM-only time (a NaN
+// access count once kept Algorithm 1's grant loop from ending, and a
+// NaN time planned to NaN predictions). Finite edge cases stay accepted
+// and plan exactly as the reference implementations do.
+func TestPlannersRefuseBadInputs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	base := func(edit func(*TaskInput)) []TaskInput {
+		tasks := []TaskInput{task("a", 10, 2, 1e6, 1000), task("b", 4, 1, 1e6, 1000)}
+		edit(&tasks[1])
+		return tasks
+	}
+	const dc = 1200
+	bad := []struct {
+		name string
+		edit func(*TaskInput)
+	}{
+		{"tPm NaN", func(t *TaskInput) { t.TPmOnly = nan }},
+		{"tPm +Inf", func(t *TaskInput) { t.TPmOnly = inf }},
+		{"tPm -Inf", func(t *TaskInput) { t.TPmOnly = -inf }},
+		{"tPm 0", func(t *TaskInput) { t.TPmOnly = 0 }},
+		{"tDram NaN", func(t *TaskInput) { t.TDramOnly = nan }},
+		{"tDram +Inf", func(t *TaskInput) { t.TDramOnly = inf }},
+		{"tDram -Inf", func(t *TaskInput) { t.TDramOnly = -inf }},
+		{"tDram 0", func(t *TaskInput) { t.TDramOnly = 0 }},
+		{"tDram above tPm", func(t *TaskInput) { t.TDramOnly = 5 }},
+		{"accesses NaN", func(t *TaskInput) { t.TotalAccesses = nan }},
+		{"accesses +Inf", func(t *TaskInput) { t.TotalAccesses = inf }},
+		{"accesses -Inf", func(t *TaskInput) { t.TotalAccesses = -inf }},
+		{"accesses negative", func(t *TaskInput) { t.TotalAccesses = -1 }},
+	}
+	for _, c := range bad {
+		tasks := base(c.edit)
+		if plan, err := GreedyLoadBalance(tasks, dc, linearModel(), Config{}); err == nil {
+			t.Fatalf("%s: GreedyLoadBalance accepted it and predicted %v", c.name, plan.Predicted)
+		}
+		if plan, err := MinMakespanPlan(tasks, dc, linearModel(), 0); err == nil {
+			t.Fatalf("%s: MinMakespanPlan accepted it and predicted %v", c.name, plan.Predicted)
+		}
+	}
+	if _, err := GreedyLoadBalance(nil, dc, linearModel(), Config{}); err == nil {
+		t.Fatal("GreedyLoadBalance accepted no tasks")
+	}
+	if _, err := MinMakespanPlan(nil, dc, linearModel(), 0); err == nil {
+		t.Fatal("MinMakespanPlan accepted no tasks")
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*TaskInput)
+	}{
+		{"as given", func(*TaskInput) {}},
+		{"no accesses", func(t *TaskInput) { t.TotalAccesses = 0 }},
+		{"tDram equal to tPm", func(t *TaskInput) { t.TDramOnly = t.TPmOnly }},
+	} {
+		tasks := base(c.edit)
+		got, err := GreedyLoadBalance(tasks, dc, linearModel(), Config{})
+		if err != nil {
+			t.Fatalf("%s: GreedyLoadBalance: %v", c.name, err)
+		}
+		if d := planDiff(got, referenceGreedy(tasks, dc, linearModel(), Config{})); d != "" {
+			t.Fatalf("%s: GreedyLoadBalance: %s", c.name, d)
+		}
+		if got, err = MinMakespanPlan(tasks, dc, linearModel(), 0); err != nil {
+			t.Fatalf("%s: MinMakespanPlan: %v", c.name, err)
+		}
+		if d := planDiff(got, referenceMinMakespan(tasks, dc, linearModel(), 0)); d != "" {
+			t.Fatalf("%s: MinMakespanPlan: %s", c.name, d)
+		}
+	}
+}
+
 func TestGreedyStepGranularity(t *testing.T) {
 	tasks := []TaskInput{
 		task("a", 10, 2, 1e6, 1000),

@@ -367,3 +367,53 @@ func TestTreeModelsPlanThroughSplitIndex(t *testing.T) {
 		memo.release()
 	}
 }
+
+// KnapsackReference searches every grant of 0..granularity equal shares
+// of each task's footprint that fits dc pages and returns the smallest
+// predicted makespan with its page grants. It predicts at r = pages /
+// footprint, while the planners search access ratios and map them to
+// pages by object density, so it checks them on small instances but
+// bounds neither: both can beat it. Exponential in the task count.
+func KnapsackReference(tasks []TaskInput, dc uint64, perf *model.PerfModel, granularity int) (float64, []uint64) {
+	if granularity <= 0 {
+		granularity = 20
+	}
+	n := len(tasks)
+	// Each task may receive 0..granularity shares of its footprint.
+	best := math.Inf(1)
+	var bestAlloc []uint64
+	alloc := make([]uint64, n)
+	var rec func(i int, remaining uint64)
+	rec = func(i int, remaining uint64) {
+		if i == n {
+			makespan := 0.0
+			for j, t := range tasks {
+				r := 0.0
+				if t.FootprintPages > 0 {
+					r = float64(alloc[j]) / float64(t.FootprintPages)
+				}
+				pred := perf.Predict(t.TPmOnly, t.TDramOnly, t.Events, r)
+				if pred > makespan {
+					makespan = pred
+				}
+			}
+			if makespan < best {
+				best = makespan
+				bestAlloc = append([]uint64(nil), alloc...)
+			}
+			return
+		}
+		t := tasks[i]
+		for g := 0; g <= granularity; g++ {
+			pages := uint64(float64(t.FootprintPages) * float64(g) / float64(granularity))
+			if pages > remaining {
+				break
+			}
+			alloc[i] = pages
+			rec(i+1, remaining-pages)
+		}
+		alloc[i] = 0
+	}
+	rec(0, dc)
+	return best, bestAlloc
+}

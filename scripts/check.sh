@@ -6,14 +6,17 @@
 # shared across workers, the serving
 # daemon's planner and the epoch re-plan lifecycle) under the race
 # detector, hold the compiled
-# inference engine to zero allocations per single-point predict and per
-# split-index evaluation (TestSplitIndexPredictZeroAllocs: the planners'
-# miss path) and smoke its pointer-vs-compiled benchmarks, the
+# inference engine (one fixed-depth walk per tree, the only way the node
+# table scores a full feature vector) to zero allocations per
+# single-point predict and per split-index evaluation
+# (TestSplitIndexPredictZeroAllocs: the planners' miss path) and smoke
+# its pointer-vs-compiled benchmarks, the
 # index-vs-walk BenchmarkSplitIndex, the planner benchmarks, the
 # RMAT generator benchmark, the BFS and SpGEMM construction benchmarks
 # and the migration daemon's tick benchmark,
 # smoke the flat-table loader, split-index
-# (FuzzSplitIndexMatchesPredict: index vs walk), event-encoder,
+# (FuzzSplitIndexMatchesPredict: index vs walk, with every feature as
+# the varied one), event-encoder,
 # artifact-decoder and binary-slot-decoder fuzz targets
 # on their seed corpora plus 10s of new inputs each, run the end-to-end
 # save/load/serve smoke (binary-format artifact, boot-to-ready timed)
@@ -116,12 +119,15 @@ go test -timeout 300s -count=1 -run '^TestReplanStudyDeterministicAndRecovers$' 
 echo "== allocation gate (compiled single-point predict and split-index evaluation must not allocate)"
 # Deliberately outside the -race tier: the assertion is exact (0
 # allocs/op via testing.AllocsPerRun) and instrumented builds allocate.
+# A GBR, a forest and a lone tree each score through one walk per tree.
 go test -timeout 60s ./internal/ml -run '^(TestCompiledPredictZeroAllocs|TestSplitIndexPredictZeroAllocs)$' -count=1 -v | grep -E '^(=== RUN|--- (PASS|FAIL)|ok)' || exit 1
 
 echo "== bench smoke (pointer vs compiled inference, split index vs walk, planners: 100 iterations; RMAT generator, BFS and SpGEMM construction, daemon tick: 1 iteration)"
 # Not a perf gate (CI machines vary) — this just proves the benchmarks
 # run: the pointer-walk reference they compare against lives in the
-# ml test files, the split-index benchmark times one indexed evaluation
+# ml test files, the compiled single and batch cases are the same walk
+# (PredictAll walks each row as Predict does), the split-index
+# benchmark times one indexed evaluation
 # against one walk of the same GBR, the planner benchmarks are the ones
 # README quotes, the
 # RMAT benchmark builds BFS's full-scale graph and one SpGEMM operand
@@ -138,6 +144,8 @@ echo "== fuzz smoke (FuzzLoadFlat, 10s)"
 go test -timeout 60s ./internal/ml -run '^$' -fuzz '^FuzzLoadFlat$' -fuzztime 10s
 
 echo "== fuzz smoke (FuzzSplitIndexMatchesPredict, 10s)"
+# The seed picks the varied feature, so NaN and ±Inf reach every
+# feature, feature 0 included, where a walk's leaf guard matters.
 go test -timeout 60s ./internal/ml -run '^$' -fuzz '^FuzzSplitIndexMatchesPredict$' -fuzztime 10s
 
 echo "== fuzz smoke (FuzzEventEncode, 10s)"
